@@ -292,15 +292,8 @@ def bench_warm_cache(budget: int, reps: int, seed: int = 0) -> dict:
     }
 
 
-def _measure_throughput(
-    budget: int, reps: int, use_matrix: bool = True, **framework_kwargs
-) -> float:
-    """Best-of-``reps`` evals/s of a DiGamma search (min-time estimator).
-
-    ``use_matrix=False`` runs the legacy per-genome generation loop
-    (bit-identical trajectories) — used to gate apples-to-apples against
-    baselines recorded before the gene-matrix loops existed.
-    """
+def _measure_throughput(budget: int, reps: int, **framework_kwargs) -> float:
+    """Best-of-``reps`` evals/s of a DiGamma search (min-time estimator)."""
     from repro.optim.digamma.algorithm import DiGamma
 
     model = get_model("resnet18")
@@ -311,7 +304,7 @@ def _measure_throughput(
         )
         start = time.perf_counter()
         result = framework.search(
-            DiGamma(use_matrix=use_matrix), sampling_budget=budget, seed=0
+            DiGamma(), sampling_budget=budget, seed=0
         )
         elapsed = time.perf_counter() - start
         measured = max(measured, result.evaluations / elapsed)
@@ -334,8 +327,7 @@ def check_regression(
     than ``tolerance`` below the evals/s recorded in
     ``BENCH_cost_model.json``.  The committed baseline is
     machine-specific, so this mode only makes sense on the machine class
-    that recorded it.  Baselines from before delta evaluation (no
-    ``delta_cached`` entry) gate their ``vector_cached`` number instead.
+    that recorded it.
 
     Relative mode (``--relative``): additionally measures the scalar
     ``fast_cached`` configuration on the *same* machine in the same run
@@ -349,23 +341,11 @@ def check_regression(
     can upload it as an artifact next to the committed baseline.
     """
     baseline = json.loads(Path(baseline_path).read_text())
-    recorded_throughput = baseline["search_throughput"]["evals_per_second"]
-    gated = "delta_cached" if "delta_cached" in recorded_throughput else "vector_cached"
-    recorded = recorded_throughput[gated]
+    gated = "delta_cached"
+    recorded = baseline["search_throughput"]["evals_per_second"][gated]
     if budget is None:
         budget = int(baseline["search_throughput"]["budget"])
-
-    # Measure the configuration the baseline recorded: old baselines
-    # predate the gene-matrix loops and delta evaluation, so gating them
-    # against the new default path would pad the number and let a real
-    # regression of the new path slide under the floor.
-    legacy = gated != "delta_cached"
-    measured = _measure_throughput(
-        budget,
-        reps,
-        use_matrix=not legacy,
-        **({"use_delta": False} if legacy else {}),
-    )
+    measured = _measure_throughput(budget, reps)
     payload = {
         "benchmark": f"{gated} regression gate",
         "machine": {
@@ -382,13 +362,9 @@ def check_regression(
         "tolerance": tolerance,
     }
     if relative:
-        search_throughput = baseline["search_throughput"]
-        ratio_key = (
+        recorded_ratio = baseline["search_throughput"][
             "speedup_delta_vs_fast_cached"
-            if "speedup_delta_vs_fast_cached" in search_throughput
-            else "speedup_vector_vs_fast_cached"
-        )
-        recorded_ratio = search_throughput[ratio_key]
+        ]
         fast_measured = _measure_throughput(budget, reps, engine="fast")
         measured_ratio = measured / fast_measured
         floor = recorded_ratio * (1.0 - tolerance)

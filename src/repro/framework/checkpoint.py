@@ -12,7 +12,13 @@ of a search at a generation boundary is small and exact:
 * the optimizer's loop state (population rows / DE-PSO float arrays /
   NSGA-II ranking vectors),
 * the :class:`~repro.framework.search.SearchTracker` bookkeeping (budget
-  counters, best-so-far, convergence history, Pareto archive).
+  counters, convergence history, and the gene rows of the best-so-far and
+  of the Pareto archive entries).
+
+Evaluation results are pure functions of their genes, so the best and the
+archive are stored as gene rows and re-priced on restore rather than
+serialized with every per-layer performance record — a depth-3 NSGA-II
+archive shrinks from megabytes to tens of kilobytes per save.
 
 Evaluator delta tables and memo caches are deliberately **not** captured:
 restoring into a fresh process with cold caches is the tested delta-on/off
@@ -43,17 +49,15 @@ from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
+from repro.encoding.genome_matrix import LEVEL_WIDTH, row_to_genome
+from repro.framework.evaluator import EvaluationResult
 from repro.framework.pareto import ParetoArchive
-from repro.serialization import (
-    evaluation_result_from_dict,
-    evaluation_result_to_dict,
-)
 
 #: On-disk format name; a header naming anything else never deserializes.
 FORMAT_NAME = "repro-search-checkpoint"
 
 #: Bump on incompatible payload changes; mismatched versions quarantine.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointCorruption(UserWarning):
@@ -321,10 +325,11 @@ class CheckpointSession:
 def snapshot_tracker_state(tracker) -> Dict[str, Any]:
     """The tracker's complete bookkeeping, JSON-ready and lossless.
 
-    ``best`` uses the full evaluation-result payload (valid *or* invalid —
-    an invalid best's graded penalty fitness steers early search), and the
-    Pareto archive is captured in insertion order, because eviction
-    tie-breaking depends on entry order and must survive the round trip.
+    ``best`` (valid *or* invalid — an invalid best's graded penalty fitness
+    steers early search) and the Pareto archive entries are stored as the
+    gene rows that priced them.  The archive is captured in insertion
+    order, because eviction tie-breaking depends on entry order and must
+    survive the round trip.
     """
     state: Dict[str, Any] = {
         "evaluations": tracker.evaluations,
@@ -332,7 +337,7 @@ def snapshot_tracker_state(tracker) -> Dict[str, Any]:
         "batched_evaluations": tracker.batched_evaluations,
         "history": [[index, fitness] for index, fitness in tracker.history],
         "best": (
-            evaluation_result_to_dict(tracker.best)
+            tracker.best.genes
             if tracker.best is not None
             else None
         ),
@@ -341,11 +346,18 @@ def snapshot_tracker_state(tracker) -> Dict[str, Any]:
         state["archive"] = {
             "capacity": tracker.archive.capacity,
             "entries": [
-                evaluation_result_to_dict(entry)
+                entry.genes
                 for entry in tracker.archive.entries_in_order()
             ],
         }
     return state
+
+
+def _reprice(tracker, genes) -> EvaluationResult:
+    """The evaluation result of one stored gene row, priced afresh."""
+    return tracker.evaluator.evaluate_genome(
+        row_to_genome(genes, len(genes) // LEVEL_WIDTH)
+    )
 
 
 def restore_tracker_state(tracker, state: Dict[str, Any]) -> None:
@@ -357,14 +369,12 @@ def restore_tracker_state(tracker, state: Dict[str, Any]) -> None:
         (int(index), float(fitness)) for index, fitness in state["history"]
     ]
     best = state.get("best")
-    tracker.best = (
-        evaluation_result_from_dict(best) if best is not None else None
-    )
+    tracker.best = _reprice(tracker, best) if best is not None else None
     archive = state.get("archive")
     if archive is not None and tracker.archive is not None:
         restored = ParetoArchive(int(archive["capacity"]))
         restored.restore_entries(
-            evaluation_result_from_dict(entry) for entry in archive["entries"]
+            _reprice(tracker, genes) for genes in archive["entries"]
         )
         tracker.archive = restored
 

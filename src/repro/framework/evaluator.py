@@ -25,7 +25,12 @@ from repro.cost.cache import CacheStats, LRUCache
 from repro.cost.maestro import DEFAULT_LAYER_CACHE_SIZE
 from repro.cost.performance import ModelPerformance
 from repro.encoding.genome import Genome, GenomeSpace
-from repro.encoding.genome_matrix import LEVEL_WIDTH, GenomeMatrix, row_to_genome
+from repro.encoding.genome_matrix import (
+    LEVEL_WIDTH,
+    GenomeMatrix,
+    genome_to_genes,
+    row_to_genome,
+)
 from repro.framework.constraints import ConstraintChecker
 from repro.framework.designpoint import (
     AcceleratorDesign,
@@ -137,6 +142,11 @@ class EvaluationResult:
     objective_vector: Optional[Tuple[float, ...]] = None
 
     @property
+    def genes(self) -> List[int]:
+        """The gene row of the genome this result priced."""
+        return genome_to_genes(self.genome)
+
+    @property
     def latency(self) -> float:
         """Total model latency of the design point (cycles)."""
         return self.design.latency
@@ -173,6 +183,10 @@ class RowGenomeResult(EvaluationResult):
             cached = row_to_genome(row, len(row) // LEVEL_WIDTH)
             self.__dict__["_genome_object"] = cached
         return cached
+
+    @property
+    def genes(self) -> List[int]:
+        return np.frombuffer(self.__dict__["_genome_row"], dtype=np.int64).tolist()
 
 
 def _with_row_genome(

@@ -76,11 +76,11 @@ def fast_non_dominated_sort(
     fronts ``< i`` are removed.  Every index appears in exactly one front.
 
     Vectorized over the pairwise dominance matrix; fronts come back with
-    *exactly* the index order of :func:`fast_non_dominated_sort_reference`
-    (pinned by the parity tests), because within-front order decides which
-    of several duplicate vectors receives the infinite boundary crowding
-    distance — and therefore selection, and therefore whole search
-    trajectories.  The reference emits a member as soon as its last
+    *exactly* the index order of the classic pure-Python sort (pinned by
+    the parity tests against a reference copy), because within-front
+    order decides which of several duplicate vectors receives the infinite
+    boundary crowding distance — and therefore selection, and therefore
+    whole search trajectories.  The reference emits a member as soon as its last
     remaining dominator is processed, so the order key within a front is
     (position of that dominator in the previous front, member index).
     """
@@ -104,39 +104,6 @@ def fast_non_dominated_sort(
             )
             released = released[np.lexsort((released, last_dominator))]
         current = released
-    return fronts
-
-
-def fast_non_dominated_sort_reference(
-    values: Sequence[Sequence[float]],
-) -> List[List[int]]:
-    """The original pure-Python sort, kept as ground truth for parity tests."""
-    count = len(values)
-    dominated_by: List[List[int]] = [[] for _ in range(count)]
-    domination_counts = [0] * count
-    fronts: List[List[int]] = [[]]
-    for i in range(count):
-        for j in range(i + 1, count):
-            if dominates(values[i], values[j]):
-                dominated_by[i].append(j)
-                domination_counts[j] += 1
-            elif dominates(values[j], values[i]):
-                dominated_by[j].append(i)
-                domination_counts[i] += 1
-    for index in range(count):
-        if domination_counts[index] == 0:
-            fronts[0].append(index)
-    current = 0
-    while fronts[current]:
-        next_front: List[int] = []
-        for index in fronts[current]:
-            for dominated in dominated_by[index]:
-                domination_counts[dominated] -= 1
-                if domination_counts[dominated] == 0:
-                    next_front.append(dominated)
-        current += 1
-        fronts.append(next_front)
-    fronts.pop()  # the loop always appends one trailing empty front
     return fronts
 
 

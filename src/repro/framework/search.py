@@ -148,20 +148,6 @@ class SearchTracker:
             self._record(result)
         return results
 
-    @property
-    def prefers_matrix(self) -> bool:
-        """True when the gene-matrix views hit the native matrix fast path.
-
-        The scalar engines (and non-two-level hierarchies) evaluate
-        matrices by converting back to genomes, so a search loop gains
-        nothing from packing its population — optimizers consult this to
-        keep the original per-genome loop in those configurations
-        (trajectories are bit-identical either way).
-        """
-        return (
-            self.evaluator.engine == "vector" and self.space.num_levels == 2
-        )
-
     def evaluate_matrix(self, matrix: GenomeMatrix) -> List[float]:
         """Evaluate a gene-matrix population in one call; returns fitnesses.
 

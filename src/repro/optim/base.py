@@ -47,22 +47,20 @@ def resume_state(
     return state
 
 
-def reject_resume(tracker: SearchTracker) -> None:
-    """Fail loudly when restored loop state reaches a non-resumable loop.
+def matrix_view(tracker: SearchTracker, name: str) -> Callable:
+    """The tracker's gene-matrix evaluation view ``name``, or a TypeError.
 
-    A checkpoint restore also rewinds the tracker's budget counters, so a
-    loop that cannot consume the optimizer state must not quietly run
-    "fresh" on a half-spent tracker — that would end anywhere but the
-    uninterrupted trajectory.  Only a configuration change between the
-    checkpointed run and its resume (e.g. a different engine flipping an
-    optimizer off its matrix path) can get here.
+    The GA loops (DiGamma, stdGA, NSGA-II) breed a packed gene matrix and
+    score it through ``evaluate_matrix`` / ``evaluate_matrix_results``;
+    a tracker without the view cannot drive them, and says so by name.
     """
-    if getattr(tracker, "resume_state", None) is not None:
-        raise ValueError(
-            "a checkpoint was restored but this search configuration "
-            "cannot resume it; rerun the original configuration or clear "
-            "the checkpoint directory"
+    view = getattr(tracker, name, None)
+    if view is None:
+        raise TypeError(
+            f"this optimizer requires a tracker with the gene-matrix view "
+            f"SearchTracker.{name}; {type(tracker).__name__} has none"
         )
+    return view
 
 
 def evaluate_genomes(tracker: SearchTracker, genomes: Sequence[Genome]) -> List[float]:

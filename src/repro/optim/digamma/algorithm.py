@@ -15,14 +15,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.encoding.genome import Genome
 from repro.encoding.genome_matrix import GenomeMatrix, genome_to_genes
 from repro.framework.search import SearchTracker
 from repro.optim.base import (
     Optimizer,
     checkpoint_generation,
-    evaluate_genomes,
-    reject_resume,
+    matrix_view,
     resume_state,
 )
 from repro.optim.digamma import operators
@@ -91,15 +89,12 @@ class DiGamma(Optimizer):
         Fraction of the initial population drawn from the domain-informed
         sampler (:func:`repro.optim.digamma.operators.seeded_genome`)
         instead of the uniform random sampler.
-    use_matrix:
-        When True (default) and the tracker exposes the gene-matrix view
-        (:meth:`~repro.framework.search.SearchTracker.evaluate_matrix`),
-        the generation loop keeps the population as a
-        :class:`~repro.encoding.genome_matrix.GenomeMatrix` and applies the
-        row-twin operators — same RNG stream, same fitnesses, no per-member
-        ``Genome`` allocation.  Custom trackers without the matrix view
-        (and ``use_matrix=False``, kept for the parity tests) take the
-        original per-genome loop.
+
+    The generation loop keeps the population as a
+    :class:`~repro.encoding.genome_matrix.GenomeMatrix`, breeds it with the
+    row twins of the genome operators (same RNG stream, no per-member
+    ``Genome`` allocation) and scores it through the tracker's
+    :meth:`~repro.framework.search.SearchTracker.evaluate_matrix` view.
     """
 
     name = "DiGamma"
@@ -111,7 +106,6 @@ class DiGamma(Optimizer):
         use_hw_operators: bool = True,
         use_structured_operators: bool = True,
         seeded_fraction: float = 0.5,
-        use_matrix: bool = True,
     ):
         if not 0.0 <= seeded_fraction <= 1.0:
             raise ValueError("seeded_fraction must be in [0, 1]")
@@ -121,27 +115,11 @@ class DiGamma(Optimizer):
         self.use_hw_operators = use_hw_operators
         self.use_structured_operators = use_structured_operators
         self.seeded_fraction = seeded_fraction
-        self.use_matrix = use_matrix
 
     # -- GA loop -------------------------------------------------------------
 
     def run(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        if (
-            self.use_matrix
-            and getattr(tracker, "evaluate_matrix", None) is not None
-            and getattr(tracker, "prefers_matrix", True)
-        ):
-            return self._run_matrix(tracker, rng)
-        return self._run_genomes(tracker, rng)
-
-    def _initial_population(self, space, population_size, rng) -> List[Genome]:
-        """Seeded + random starting genomes (shared by both loop forms)."""
-        return operators.initial_population(
-            space, population_size, self.seeded_fraction, rng
-        )
-
-    def _run_matrix(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        """The gene-matrix generation loop (bit-identical trajectories)."""
+        evaluate = matrix_view(tracker, "evaluate_matrix")
         params = self.hyper_parameters
         space = tracker.space
         population_size = params.resolved_population(tracker.sampling_budget)
@@ -158,10 +136,12 @@ class DiGamma(Optimizer):
             fitnesses = [float(value) for value in state["fitnesses"]]
         else:
             population = GenomeMatrix.from_genomes(
-                self._initial_population(space, population_size, rng)
+                operators.initial_population(
+                    space, population_size, self.seeded_fraction, rng
+                )
             )
             num_levels = population.num_levels
-            fitnesses = tracker.evaluate_matrix(population)
+            fitnesses = evaluate(population)
             if len(fitnesses) < len(population):
                 return
 
@@ -190,66 +170,11 @@ class DiGamma(Optimizer):
             population = GenomeMatrix(
                 np.array(children, dtype=np.int64), num_levels
             )
-            fitnesses = tracker.evaluate_matrix(population)
-            if len(fitnesses) < len(population):
-                return
-
-    def _run_genomes(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        """The original per-genome loop (compatibility shim for trackers
-        without the matrix view; pinned against the matrix loop by the
-        trajectory-parity tests).  Not checkpointable: configurations on
-        this path never write checkpoints, and resuming one written by the
-        matrix loop is rejected loudly rather than silently restarted."""
-        reject_resume(tracker)
-        params = self.hyper_parameters
-        space = tracker.space
-        population_size = params.resolved_population(tracker.sampling_budget)
-        num_elites = max(1, int(population_size * params.elite_ratio))
-        num_immigrants = int(population_size * params.immigration_ratio)
-
-        population = self._initial_population(space, population_size, rng)
-        fitnesses: List[float] = evaluate_genomes(tracker, population)
-        if len(fitnesses) < len(population):
-            return
-
-        while not tracker.exhausted:
-            order = list(np.argsort(fitnesses)[::-1])
-            elites = [population[i].copy() for i in order[:num_elites]]
-            parent_pool = [population[i] for i in order[: max(2, population_size // 2)]]
-
-            children: List[Genome] = [elite.copy() for elite in elites]
-            for _ in range(num_immigrants):
-                children.append(space.random_genome(rng))
-            while len(children) < population_size:
-                children.append(self._make_child(parent_pool, space, rng))
-
-            population = children
-            fitnesses = evaluate_genomes(tracker, population)
+            fitnesses = evaluate(population)
             if len(fitnesses) < len(population):
                 return
 
     # -- reproduction ----------------------------------------------------------
-
-    def _make_child(self, parent_pool, space, rng: np.random.Generator) -> Genome:
-        params = self.hyper_parameters
-        parent_a = parent_pool[int(rng.integers(len(parent_pool)))]
-        parent_b = parent_pool[int(rng.integers(len(parent_pool)))]
-
-        if rng.random() < params.crossover_rate:
-            child = operators.crossover(parent_a, parent_b, rng)
-        else:
-            child = parent_a.copy()
-
-        if self.use_structured_operators:
-            if rng.random() < params.reorder_rate:
-                child = operators.reorder(child, rng)
-            if rng.random() < params.grow_rate:
-                child = operators.grow(child, space, rng)
-            if rng.random() < params.mutate_map_rate:
-                child = operators.mutate_map(child, space, rng)
-        if self.use_hw_operators and rng.random() < params.mutate_hw_rate:
-            child = operators.mutate_hw(child, space, rng)
-        return child
 
     def _make_child_row(
         self,
@@ -258,7 +183,12 @@ class DiGamma(Optimizer):
         num_levels: int,
         rng: np.random.Generator,
     ) -> List[int]:
-        """Row twin of :meth:`_make_child` (identical RNG stream)."""
+        """Breed one child row from two parents drawn from ``pool``.
+
+        Applies the row twins of the genome operators in
+        :mod:`repro.optim.digamma.operators`, which consume the identical
+        RNG stream and produce the identical genes.
+        """
         params = self.hyper_parameters
         parent_a = pool[int(rng.integers(len(pool)))]
         parent_b = pool[int(rng.integers(len(pool)))]

@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.encoding.genome import Genome
-
+from repro.encoding.genome_matrix import GenomeMatrix
+from repro.framework.evaluator import EvaluationResult
 from repro.framework.search import SearchTracker
 from repro.optim.base import Optimizer, evaluate_genomes, evaluate_vectors
 from repro.optim.de import DifferentialEvolution
@@ -68,6 +69,18 @@ class _BudgetSlice:
         fitnesses = evaluate_vectors(self._tracker, list(vectors)[: self.remaining])
         self._used += len(fitnesses)
         return fitnesses
+
+    def evaluate_matrix(self, matrix: GenomeMatrix) -> List[float]:
+        return [result.fitness for result in self.evaluate_matrix_results(matrix)]
+
+    def evaluate_matrix_results(
+        self, matrix: GenomeMatrix
+    ) -> List[EvaluationResult]:
+        results = self._tracker.evaluate_matrix_results(
+            matrix.truncated(min(len(matrix), self.remaining))
+        )
+        self._used += len(results)
+        return results
 
 
 class PassivePortfolio(Optimizer):

@@ -12,14 +12,13 @@ from typing import List
 
 import numpy as np
 
-from repro.encoding.genome import Genome, log_uniform_int
+from repro.encoding.genome import log_uniform_int
 from repro.encoding.genome_matrix import LEVEL_WIDTH, GenomeMatrix
 from repro.framework.search import SearchTracker
 from repro.optim.base import (
     Optimizer,
     checkpoint_generation,
-    evaluate_genomes,
-    reject_resume,
+    matrix_view,
     resume_state,
 )
 from repro.workloads.dims import DIMS
@@ -28,11 +27,9 @@ from repro.workloads.dims import DIMS
 class StandardGA(Optimizer):
     """Elitist GA with uniform crossover and per-gene random mutation.
 
-    The generation loop runs gene-matrix-native when the tracker exposes
-    :meth:`~repro.framework.search.SearchTracker.evaluate_matrix` (same RNG
-    stream and fitnesses as the per-genome form, pinned by the trajectory-
-    parity tests); trackers without the matrix view — and
-    ``use_matrix=False`` — take the original per-genome loop.
+    The generation loop breeds a packed gene matrix and scores it through
+    the tracker's
+    :meth:`~repro.framework.search.SearchTracker.evaluate_matrix` view.
     """
 
     name = "stdGA"
@@ -44,7 +41,6 @@ class StandardGA(Optimizer):
         elite_ratio: float = 0.1,
         crossover_rate: float = 0.8,
         mutation_rate: float = 0.1,
-        use_matrix: bool = True,
     ):
         if population_size < 4:
             raise ValueError("population_size must be >= 4")
@@ -54,18 +50,9 @@ class StandardGA(Optimizer):
         self.elite_ratio = elite_ratio
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
-        self.use_matrix = use_matrix
 
     def run(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        if (
-            self.use_matrix
-            and getattr(tracker, "evaluate_matrix", None) is not None
-            and getattr(tracker, "prefers_matrix", True)
-        ):
-            return self._run_matrix(tracker, rng)
-        return self._run_genomes(tracker, rng)
-
-    def _run_matrix(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
+        evaluate = matrix_view(tracker, "evaluate_matrix")
         space = tracker.space
         state = resume_state(tracker, "stdga-matrix")
         if state is not None:
@@ -80,7 +67,7 @@ class StandardGA(Optimizer):
                 space.random_population(self.population_size, rng)
             )
             num_levels = population.num_levels
-            fitnesses = tracker.evaluate_matrix(population)
+            fitnesses = evaluate(population)
             if len(fitnesses) < len(population):
                 return
 
@@ -113,76 +100,11 @@ class StandardGA(Optimizer):
             population = GenomeMatrix(
                 np.array(children, dtype=np.int64), num_levels
             )
-            fitnesses = tracker.evaluate_matrix(population)
+            fitnesses = evaluate(population)
             if len(fitnesses) < len(population):
                 return
 
-    def _run_genomes(self, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        reject_resume(tracker)
-        space = tracker.space
-        population = space.random_population(self.population_size, rng)
-        fitnesses = evaluate_genomes(tracker, population)
-        if len(fitnesses) < len(population):
-            return
-
-        num_elites = max(1, int(self.population_size * self.elite_ratio))
-        while not tracker.exhausted:
-            order = np.argsort(fitnesses)[::-1]
-            elites = [population[i] for i in order[:num_elites]]
-
-            children: List[Genome] = [elite.copy() for elite in elites]
-            while len(children) < self.population_size:
-                parent_a = population[int(rng.choice(order[: self.population_size // 2]))]
-                parent_b = population[int(rng.choice(order[: self.population_size // 2]))]
-                child = (
-                    self._uniform_crossover(parent_a, parent_b, rng)
-                    if rng.random() < self.crossover_rate
-                    else parent_a.copy()
-                )
-                self._mutate(child, tracker, rng)
-                children.append(child)
-
-            population = children
-            fitnesses = evaluate_genomes(tracker, population)
-            if len(fitnesses) < len(population):
-                return
-
-    # -- blind genetic operators --------------------------------------------
-
-    @staticmethod
-    def _uniform_crossover(a: Genome, b: Genome, rng: np.random.Generator) -> Genome:
-        child = a.copy()
-        for level_index, level in enumerate(child.levels):
-            other = b.levels[level_index]
-            if rng.random() < 0.5:
-                level.spatial_size = other.spatial_size
-            if rng.random() < 0.5:
-                level.parallel_dim = other.parallel_dim
-            if rng.random() < 0.5:
-                level.order = list(other.order)
-            for dim in DIMS:
-                if rng.random() < 0.5:
-                    level.tiles[dim] = other.tiles[dim]
-        return child
-
-    def _mutate(self, genome: Genome, tracker: SearchTracker, rng: np.random.Generator) -> None:
-        space = tracker.space
-        for level_index, level in enumerate(genome.levels):
-            if rng.random() < self.mutation_rate:
-                level.spatial_size = log_uniform_int(
-                    rng, 1, space.spatial_bound(level_index)
-                )
-            if rng.random() < self.mutation_rate:
-                level.parallel_dim = str(rng.choice(DIMS))
-            if rng.random() < self.mutation_rate:
-                order = list(level.order)
-                rng.shuffle(order)
-                level.order = order
-            for dim in DIMS:
-                if rng.random() < self.mutation_rate:
-                    level.tiles[dim] = log_uniform_int(rng, 1, space.dim_bounds[dim])
-
-    # -- gene-matrix row twins (identical RNG streams) -----------------------
+    # -- blind genetic operators on gene rows ---------------------------------
 
     @staticmethod
     def _uniform_crossover_row(

@@ -215,51 +215,6 @@ def design_from_dict(data: Dict[str, Any]) -> AcceleratorDesign:
     )
 
 
-def evaluation_result_to_dict(result: EvaluationResult) -> Dict[str, Any]:
-    """Serialize one evaluation result losslessly — valid or not.
-
-    Unlike the store-facing result payloads (which only ship valid bests),
-    this captures the *complete* tracker-visible state of a result:
-    fitness (including graded invalid penalties), violations and the
-    per-objective vector when present.  The search checkpoints
-    (:mod:`repro.framework.checkpoint`) rely on this round-tripping
-    exactly — a resumed search compares new candidates against the
-    restored best's bit-identical fitness.
-    """
-    payload: Dict[str, Any] = {
-        "fitness": result.fitness,
-        "valid": result.valid,
-        "objective": result.objective.value,
-        "objective_value": result.objective_value,
-        "design": design_to_dict(result.design),
-        "violations": list(result.violations),
-    }
-    if result.genome is not None:
-        payload["genome"] = genome_to_dict(result.genome)
-    if result.objective_vector is not None:
-        payload["objective_vector"] = list(result.objective_vector)
-    return payload
-
-
-def evaluation_result_from_dict(data: Dict[str, Any]) -> EvaluationResult:
-    """Rebuild an evaluation result from :func:`evaluation_result_to_dict`."""
-    vector = data.get("objective_vector")
-    return EvaluationResult(
-        fitness=float(data["fitness"]),
-        valid=bool(data["valid"]),
-        objective=Objective.from_name(data["objective"]),
-        objective_value=float(data["objective_value"]),
-        design=design_from_dict(data["design"]),
-        violations=tuple(data.get("violations", ())),
-        genome=(
-            genome_from_dict(data["genome"]) if "genome" in data else None
-        ),
-        objective_vector=(
-            tuple(float(value) for value in vector) if vector is not None else None
-        ),
-    )
-
-
 def search_result_to_dict(result: SearchResult) -> Dict[str, Any]:
     """Serialize a search outcome (best design plus convergence history)."""
     payload: Dict[str, Any] = {

@@ -21,9 +21,9 @@ from repro.framework.checkpoint import (
 )
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.framework.search import SearchInterrupted
-from repro.optim.base import reject_resume, resume_state
+from repro.optim.base import resume_state
 from repro.optim.registry import get_optimizer
-from repro.serialization import evaluation_result_to_dict
+from repro.serialization import design_to_dict, genome_to_dict
 
 #: Enough budget for several generation boundaries on every optimizer
 #: (stdGA's default population of 40 is the widest per-generation spend).
@@ -32,6 +32,10 @@ BUDGET = 200
 #: The single-objective optimizers that participate in the checkpoint
 #: protocol (NSGA-II is exercised separately through pareto_search).
 RESUMABLE = ("digamma", "stdga", "pso", "de", "random")
+
+#: (optimizer, hierarchy depth) pairs of the resume-parity test: every
+#: resumable optimizer at the default depth, plus DiGamma at depths 1 and 3.
+RESUME_CASES = [(name, 2) for name in RESUMABLE] + [("digamma", 1), ("digamma", 3)]
 
 
 class InterruptAfter:
@@ -63,8 +67,8 @@ def make_checkpoint(generation: int = 3) -> SearchCheckpoint:
 
 
 def run_search(tiny_model, optimizer_name, *, checkpoint_dir=None,
-               interrupt_check=None, checkpoint_every=1, seed=3):
-    framework = CoOptimizationFramework(tiny_model, EDGE)
+               interrupt_check=None, checkpoint_every=1, seed=3, num_levels=2):
+    framework = CoOptimizationFramework(tiny_model, EDGE, num_levels=num_levels)
     try:
         return framework.search(
             get_optimizer(optimizer_name),
@@ -121,12 +125,14 @@ class TestCheckpointStore:
         assert not store.path.exists()
         assert store.corrupt_path.exists()
 
-    def test_unknown_version_quarantines(self, tmp_path):
+    # Version 1 stored priced results instead of gene rows.
+    @pytest.mark.parametrize("version", [1, CHECKPOINT_VERSION + 1])
+    def test_unknown_version_quarantines(self, tmp_path, version):
         store = CheckpointStore(tmp_path, "key")
         store.save(make_checkpoint())
         head, _, payload = store.path.read_bytes().partition(b"\n")
         header = json.loads(head)
-        header["version"] = CHECKPOINT_VERSION + 1
+        header["version"] = version
         store.path.write_bytes(
             json.dumps(header, sort_keys=True).encode() + b"\n" + payload
         )
@@ -194,35 +200,49 @@ class TestResumeStateGuards:
         with pytest.raises(ValueError, match="'de' loop state"):
             resume_state(tracker, "pso")
 
-    def test_reject_resume_refuses_restored_state(self):
-        with pytest.raises(ValueError, match="cannot resume"):
-            reject_resume(SimpleNamespace(resume_state={"kind": "digamma-matrix"}))
-        reject_resume(SimpleNamespace(resume_state=None))  # fresh runs pass
+
+def assert_same_result(got, want):
+    """Field-by-field equality of two evaluation results.
+
+    A restored best is re-priced from its gene row and carries its design
+    and genome in a different wrapper class than the live one, so designs
+    and genomes are compared through their canonical serialized payloads.
+    """
+    assert got.fitness == want.fitness
+    assert got.valid == want.valid
+    assert got.objective == want.objective
+    assert got.objective_value == want.objective_value
+    assert got.violations == want.violations
+    assert got.objective_vector == want.objective_vector
+    assert design_to_dict(got.design) == design_to_dict(want.design)
+    assert genome_to_dict(got.genome) == genome_to_dict(want.genome)
 
 
 class TestBitIdenticalResume:
-    @pytest.mark.parametrize("name", RESUMABLE)
+    @pytest.mark.parametrize(
+        "name, num_levels",
+        RESUME_CASES,
+        ids=[f"{name}-L{levels}" for name, levels in RESUME_CASES],
+    )
     def test_interrupt_and_resume_matches_uninterrupted_run(
-        self, tmp_path, tiny_model, name
+        self, tmp_path, tiny_model, name, num_levels
     ):
-        control = run_search(tiny_model, name)
+        control = run_search(tiny_model, name, num_levels=num_levels)
         with pytest.raises(SearchInterrupted):
             run_search(
                 tiny_model, name,
                 checkpoint_dir=tmp_path,
                 interrupt_check=InterruptAfter(2),
+                num_levels=num_levels,
             )
         files = list(tmp_path.glob("*.ckpt.json"))
         assert len(files) == 1
-        resumed = run_search(tiny_model, name, checkpoint_dir=tmp_path)
+        resumed = run_search(
+            tiny_model, name, checkpoint_dir=tmp_path, num_levels=num_levels
+        )
         assert resumed.history == control.history
         assert resumed.evaluations == control.evaluations
-        assert resumed.best.fitness == control.best.fitness
-        # Canonical content comparison: a restored best materializes lazy
-        # design wrappers, so compare the serialized payloads, not classes.
-        assert evaluation_result_to_dict(resumed.best) == evaluation_result_to_dict(
-            control.best
-        )
+        assert_same_result(resumed.best, control.best)
         # A completed search clears its checkpoint.
         assert list(tmp_path.glob("*.ckpt.json")) == []
 
@@ -296,9 +316,10 @@ class TestBitIdenticalResume:
 
 
 class TestParetoResume:
-    def run_pareto(self, tiny_model, *, checkpoint_dir=None, interrupt_check=None):
+    def run_pareto(self, tiny_model, *, checkpoint_dir=None, interrupt_check=None,
+                   num_levels=2):
         framework = CoOptimizationFramework(
-            tiny_model, EDGE, objectives="latency,energy"
+            tiny_model, EDGE, objectives="latency,energy", num_levels=num_levels
         )
         try:
             return framework.pareto_search(
@@ -313,20 +334,42 @@ class TestParetoResume:
         finally:
             framework.close()
 
+    @pytest.mark.parametrize("num_levels", [1, 2, 3])
     def test_interrupted_pareto_search_resumes_bit_identically(
+        self, tmp_path, tiny_model, num_levels
+    ):
+        control = self.run_pareto(tiny_model, num_levels=num_levels)
+        with pytest.raises(SearchInterrupted):
+            self.run_pareto(
+                tiny_model,
+                checkpoint_dir=tmp_path,
+                interrupt_check=InterruptAfter(2),
+                num_levels=num_levels,
+            )
+        assert list(tmp_path.glob("*.ckpt.json"))
+        resumed = self.run_pareto(
+            tiny_model, checkpoint_dir=tmp_path, num_levels=num_levels
+        )
+        assert resumed.evaluations == control.evaluations
+        assert len(resumed.front) == len(control.front)
+        for got, want in zip(resumed.front, control.front):
+            assert_same_result(got, want)
+        assert list(tmp_path.glob("*.ckpt.json")) == []
+
+    def test_checkpoint_stores_gene_rows_not_priced_results(
         self, tmp_path, tiny_model
     ):
-        control = self.run_pareto(tiny_model)
         with pytest.raises(SearchInterrupted):
             self.run_pareto(
                 tiny_model,
                 checkpoint_dir=tmp_path,
                 interrupt_check=InterruptAfter(2),
             )
-        assert list(tmp_path.glob("*.ckpt.json"))
-        resumed = self.run_pareto(tiny_model, checkpoint_dir=tmp_path)
-        assert resumed.evaluations == control.evaluations
-        control_front = [point.objective_vector for point in control.front]
-        resumed_front = [point.objective_vector for point in resumed.front]
-        assert resumed_front == control_front
-        assert list(tmp_path.glob("*.ckpt.json")) == []
+        (checkpoint,) = tmp_path.glob("*.ckpt.json")
+        payload = checkpoint.read_bytes().partition(b"\n")[2]
+        assert b"per_layer" not in payload
+        tracker = json.loads(payload)["tracker"]
+        rows = [tracker["best"], *tracker["archive"]["entries"]]
+        assert len(rows) > 1
+        for row in rows:
+            assert all(type(gene) is int for gene in row)

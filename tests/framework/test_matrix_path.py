@@ -19,7 +19,11 @@ import numpy as np
 import pytest
 
 from repro.arch.platform import CLOUD, EDGE
-from repro.encoding.genome_matrix import GenomeMatrix, repaired_matrix
+from repro.encoding.genome_matrix import (
+    GenomeMatrix,
+    genome_to_genes,
+    repaired_matrix,
+)
 from repro.encoding.repair import repaired_copy
 from repro.framework.evaluator import DesignEvaluator, RowGenomeResult
 from repro.framework.search import SearchTracker
@@ -130,6 +134,14 @@ class TestLazyResults:
             want = repaired_copy(genome, space)
             assert result.genome.cache_key() == want.cache_key()
             assert result.design.mapping.cache_key() == want.cache_key()
+
+    def test_gene_rows_match_the_genome_view(self, ncf):
+        evaluator = DesignEvaluator(model=ncf, platform=EDGE)
+        space, genomes, matrix = _repaired_population(evaluator, 6, seed=31)
+        for result, genome in zip(evaluator.evaluate_matrix(matrix), genomes):
+            want = genome_to_genes(repaired_copy(genome, space))
+            assert result.genes == want
+            assert evaluator.evaluate_genome(result.genome).genes == want
 
 
 class TestDeltaEvaluation:

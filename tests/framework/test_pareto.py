@@ -1,5 +1,7 @@
 """Tests for the multi-objective primitives and the Pareto search plumbing."""
 
+from typing import List, Sequence
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,44 @@ from repro.framework.pareto import (
     crowding_distances,
     dominates,
     fast_non_dominated_sort,
-    fast_non_dominated_sort_reference,
     non_dominated_indices,
 )
 from repro.optim.digamma import DiGamma
 from repro.optim.random_search import RandomSearch
 from repro.workloads.registry import get_model
+
+
+def fast_non_dominated_sort_reference(
+    values: Sequence[Sequence[float]],
+) -> List[List[int]]:
+    """The original pure-Python sort: ground truth for the vectorized one."""
+    count = len(values)
+    dominated_by: List[List[int]] = [[] for _ in range(count)]
+    domination_counts = [0] * count
+    fronts: List[List[int]] = [[]]
+    for i in range(count):
+        for j in range(i + 1, count):
+            if dominates(values[i], values[j]):
+                dominated_by[i].append(j)
+                domination_counts[j] += 1
+            elif dominates(values[j], values[i]):
+                dominated_by[j].append(i)
+                domination_counts[i] += 1
+    for index in range(count):
+        if domination_counts[index] == 0:
+            fronts[0].append(index)
+    current = 0
+    while fronts[current]:
+        next_front: List[int] = []
+        for index in fronts[current]:
+            for dominated in dominated_by[index]:
+                domination_counts[dominated] -= 1
+                if domination_counts[dominated] == 0:
+                    next_front.append(dominated)
+        current += 1
+        fronts.append(next_front)
+    fronts.pop()  # the loop always appends one trailing empty front
+    return fronts
 
 
 def make_result(vector, fitness=None, valid=True):

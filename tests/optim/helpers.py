@@ -7,6 +7,7 @@ optimizers can be unit-tested for convergence without the full framework.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List
 
 import numpy as np
@@ -67,6 +68,29 @@ class QuadraticTracker:
             raise BudgetExhausted("budget exhausted")
         return self._score(self.codec.encode(genome))
 
+    def evaluate_matrix(self, matrix) -> List[float]:
+        return [result.fitness for result in self.evaluate_matrix_results(matrix)]
+
+    def evaluate_matrix_results(self, matrix) -> List[SimpleNamespace]:
+        """Gene-matrix view, truncated to the remaining budget.
+
+        Each result carries only the fields the GA loops read; as a
+        single-objective stub every result is valid with no vector.
+        """
+        genomes = matrix.truncated(min(len(matrix), self.remaining)).to_genomes()
+        results = []
+        for genome in genomes:
+            fitness = self._score(self.codec.encode(genome))
+            results.append(
+                SimpleNamespace(
+                    fitness=fitness,
+                    valid=True,
+                    objective_value=-fitness,
+                    objective_vector=None,
+                )
+            )
+        return results
+
     def first_sample_fitness(self) -> float:
         """Fitness of the very first sample (a random-start reference)."""
         return self.fitness_log[0] if self.fitness_log else -np.inf
@@ -91,6 +115,12 @@ class BatchSpyTracker(QuadraticTracker):
         self.batch_calls += 1
         self.batched_evaluations += len(batch)
         return [self._score(self.codec.encode(genome)) for genome in batch]
+
+    def evaluate_matrix_results(self, matrix) -> List[SimpleNamespace]:
+        results = super().evaluate_matrix_results(matrix)
+        self.batch_calls += 1
+        self.batched_evaluations += len(results)
+        return results
 
     def evaluate_vector_batch(self, vectors) -> List[float]:
         batch = list(vectors)[: self.remaining]

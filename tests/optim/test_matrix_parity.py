@@ -3,25 +3,32 @@
 The hard invariant of this repository's perf work: rewriting a search
 inner loop must not change *anything* about the search — the RNG stream,
 the fitness sequence, the best design, the history.  Every matrix-native
-loop is pinned here against its per-genome twin, and the engine selectors
-and delta evaluation are pinned against each other through whole searches.
+loop is pinned here against a per-genome reference loop kept in this
+module, and the engine selectors and delta evaluation are pinned against
+each other through whole searches.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
+from typing import List
 
 import numpy as np
 import pytest
 
 from repro.arch.platform import get_platform
-from repro.encoding.genome import GenomeSpace
+from repro.encoding.genome import Genome, GenomeSpace, log_uniform_int
 from repro.encoding.genome_matrix import GenomeMatrix, genome_to_genes
 from repro.framework.cooptimizer import CoOptimizationFramework
+from repro.optim.base import evaluate_genomes
 from repro.optim.digamma import operators
 from repro.optim.digamma.algorithm import DiGamma
 from repro.optim.nsga2 import NSGA2
 from repro.optim.pso import ParticleSwarm
 from repro.optim.std_ga import StandardGA
+from repro.workloads.dims import DIMS
 from repro.workloads.registry import get_model
+from tests.optim.helpers import BatchSpyTracker
 
 
 @pytest.fixture(scope="module")
@@ -36,39 +43,223 @@ def _search(model, optimizer, budget=600, seed=3, **framework_kwargs):
     return framework.search(optimizer, sampling_budget=budget, seed=seed)
 
 
+class _ReferenceDiGamma(DiGamma):
+    """The per-genome DiGamma generation loop, kept as ground truth."""
+
+    def run(self, tracker, rng):
+        params = self.hyper_parameters
+        space = tracker.space
+        population_size = params.resolved_population(tracker.sampling_budget)
+        num_elites = max(1, int(population_size * params.elite_ratio))
+        num_immigrants = int(population_size * params.immigration_ratio)
+
+        population = operators.initial_population(
+            space, population_size, self.seeded_fraction, rng
+        )
+        fitnesses = evaluate_genomes(tracker, population)
+        if len(fitnesses) < len(population):
+            return
+
+        while not tracker.exhausted:
+            order = list(np.argsort(fitnesses)[::-1])
+            pool = [population[i] for i in order[: max(2, population_size // 2)]]
+
+            children: List[Genome] = [population[i].copy() for i in order[:num_elites]]
+            for _ in range(num_immigrants):
+                children.append(space.random_genome(rng))
+            while len(children) < population_size:
+                children.append(self._make_child(pool, space, rng))
+
+            population = children
+            fitnesses = evaluate_genomes(tracker, population)
+            if len(fitnesses) < len(population):
+                return
+
+    def _make_child(self, pool, space, rng) -> Genome:
+        params = self.hyper_parameters
+        parent_a = pool[int(rng.integers(len(pool)))]
+        parent_b = pool[int(rng.integers(len(pool)))]
+
+        if rng.random() < params.crossover_rate:
+            child = operators.crossover(parent_a, parent_b, rng)
+        else:
+            child = parent_a.copy()
+
+        if self.use_structured_operators:
+            if rng.random() < params.reorder_rate:
+                child = operators.reorder(child, rng)
+            if rng.random() < params.grow_rate:
+                child = operators.grow(child, space, rng)
+            if rng.random() < params.mutate_map_rate:
+                child = operators.mutate_map(child, space, rng)
+        if self.use_hw_operators and rng.random() < params.mutate_hw_rate:
+            child = operators.mutate_hw(child, space, rng)
+        return child
+
+
+class _ReferenceStdGA(StandardGA):
+    """The per-genome stdGA loop with its blind genome operators."""
+
+    def run(self, tracker, rng):
+        space = tracker.space
+        population = space.random_population(self.population_size, rng)
+        fitnesses = evaluate_genomes(tracker, population)
+        if len(fitnesses) < len(population):
+            return
+
+        num_elites = max(1, int(self.population_size * self.elite_ratio))
+        while not tracker.exhausted:
+            order = np.argsort(fitnesses)[::-1]
+            children: List[Genome] = [population[i].copy() for i in order[:num_elites]]
+            while len(children) < self.population_size:
+                parent_a = population[int(rng.choice(order[: self.population_size // 2]))]
+                parent_b = population[int(rng.choice(order[: self.population_size // 2]))]
+                child = (
+                    self._uniform_crossover(parent_a, parent_b, rng)
+                    if rng.random() < self.crossover_rate
+                    else parent_a.copy()
+                )
+                self._mutate(child, space, rng)
+                children.append(child)
+
+            population = children
+            fitnesses = evaluate_genomes(tracker, population)
+            if len(fitnesses) < len(population):
+                return
+
+    @staticmethod
+    def _uniform_crossover(a, b, rng) -> Genome:
+        child = a.copy()
+        for level_index, level in enumerate(child.levels):
+            other = b.levels[level_index]
+            if rng.random() < 0.5:
+                level.spatial_size = other.spatial_size
+            if rng.random() < 0.5:
+                level.parallel_dim = other.parallel_dim
+            if rng.random() < 0.5:
+                level.order = list(other.order)
+            for dim in DIMS:
+                if rng.random() < 0.5:
+                    level.tiles[dim] = other.tiles[dim]
+        return child
+
+    def _mutate(self, genome, space, rng) -> None:
+        for level_index, level in enumerate(genome.levels):
+            if rng.random() < self.mutation_rate:
+                level.spatial_size = log_uniform_int(
+                    rng, 1, space.spatial_bound(level_index)
+                )
+            if rng.random() < self.mutation_rate:
+                level.parallel_dim = str(rng.choice(DIMS))
+            if rng.random() < self.mutation_rate:
+                order = list(level.order)
+                rng.shuffle(order)
+                level.order = order
+            for dim in DIMS:
+                if rng.random() < self.mutation_rate:
+                    level.tiles[dim] = log_uniform_int(rng, 1, space.dim_bounds[dim])
+
+
+class _ReferenceNSGA2(NSGA2):
+    """The per-genome NSGA-II loop over the batched results view."""
+
+    def run(self, tracker, rng):
+        evaluate = tracker.evaluate_batch_results
+        params = self.hyper_parameters
+        space = tracker.space
+        population_size = params.resolved_population(tracker.sampling_budget)
+        num_objectives = self._num_objectives(tracker)
+
+        population = operators.initial_population(
+            space, population_size, self.seeded_fraction, rng
+        )
+        results = evaluate(population)
+        if len(results) < len(population):
+            return
+        values = [self._ranking_vector(result, num_objectives) for result in results]
+
+        while not tracker.exhausted:
+            ranks, crowding = self._rank(values)
+            children = [
+                self._make_child(population, values, ranks, crowding, space, rng)
+                for _ in range(population_size)
+            ]
+            child_results = evaluate(children)
+            if len(child_results) < len(children):
+                return
+
+            combined_population = population + children
+            combined_values = values + [
+                self._ranking_vector(result, num_objectives)
+                for result in child_results
+            ]
+            survivors = self._environmental_selection(
+                combined_values, population_size
+            )
+            population = [combined_population[i] for i in survivors]
+            values = [combined_values[i] for i in survivors]
+
+    def _make_child(self, population, values, ranks, crowding, space, rng) -> Genome:
+        params = self.hyper_parameters
+        if rng.random() < params.extreme_bias:
+            axis = int(rng.integers(len(values[0])))
+            extreme = min(range(len(values)), key=lambda i: values[i][axis])
+            parent_a = population[extreme]
+        else:
+            parent_a = population[self._tournament(ranks, crowding, rng)]
+        parent_b = population[self._tournament(ranks, crowding, rng)]
+
+        if rng.random() < params.crossover_rate:
+            child = operators.crossover(parent_a, parent_b, rng)
+        else:
+            child = parent_a.copy()
+        if rng.random() < params.reorder_rate:
+            child = operators.reorder(child, rng)
+        if rng.random() < params.grow_rate:
+            child = operators.grow(child, space, rng)
+        if rng.random() < params.mutate_map_rate:
+            child = operators.mutate_map(child, space, rng)
+        if rng.random() < params.mutate_hw_rate:
+            child = operators.mutate_hw(child, space, rng)
+        return child
+
+
 class TestLoopParity:
-    def test_digamma_matrix_equals_genome_loop(self, ncf):
-        matrix = _search(ncf, DiGamma())
-        legacy = _search(ncf, DiGamma(use_matrix=False))
-        assert matrix.history == legacy.history
-        assert matrix.best.fitness == legacy.best.fitness
-        assert matrix.evaluations == legacy.evaluations
+    @pytest.mark.parametrize("num_levels", [1, 2, 3])
+    def test_digamma_matrix_equals_genome_loop(self, ncf, num_levels):
+        matrix = _search(ncf, DiGamma(), num_levels=num_levels)
+        reference = _search(ncf, _ReferenceDiGamma(), num_levels=num_levels)
+        assert matrix.history == reference.history
+        assert matrix.best.fitness == reference.best.fitness
+        assert matrix.evaluations == reference.evaluations
 
     def test_stdga_matrix_equals_genome_loop(self, ncf):
         matrix = _search(ncf, StandardGA())
-        legacy = _search(ncf, StandardGA(use_matrix=False))
-        assert matrix.history == legacy.history
-        assert matrix.best.fitness == legacy.best.fitness
+        reference = _search(ncf, _ReferenceStdGA())
+        assert matrix.history == reference.history
+        assert matrix.best.fitness == reference.best.fitness
 
-    def test_nsga2_matrix_equals_genome_loop(self, ncf):
-        def front(use_matrix):
+    @pytest.mark.parametrize("num_levels", [1, 2, 3])
+    def test_nsga2_matrix_equals_genome_loop(self, ncf, num_levels):
+        def front(optimizer):
             framework = CoOptimizationFramework(
-                ncf, get_platform("edge"), objectives="latency,energy"
+                ncf,
+                get_platform("edge"),
+                objectives="latency,energy",
+                num_levels=num_levels,
             )
-            return framework.pareto_search(
-                NSGA2(use_matrix=use_matrix), sampling_budget=480, seed=1
-            )
+            return framework.pareto_search(optimizer, sampling_budget=480, seed=1)
 
-        matrix = front(True)
-        legacy = front(False)
-        assert matrix.front_values == legacy.front_values
-        assert matrix.evaluations == legacy.evaluations
+        matrix = front(NSGA2())
+        reference = front(_ReferenceNSGA2())
+        assert matrix.front_values == reference.front_values
+        assert matrix.evaluations == reference.evaluations
 
     def test_nsga2_scalar_mode_matrix_equals_genome_loop(self, ncf):
         matrix = _search(ncf, NSGA2(), budget=480, seed=2)
-        legacy = _search(ncf, NSGA2(use_matrix=False), budget=480, seed=2)
-        assert matrix.history == legacy.history
-        assert matrix.best.fitness == legacy.best.fitness
+        reference = _search(ncf, _ReferenceNSGA2(), budget=480, seed=2)
+        assert matrix.history == reference.history
+        assert matrix.best.fitness == reference.best.fitness
 
 
 class TestEngineAndDeltaParity:
@@ -212,17 +403,29 @@ class TestOperatorRowTwins:
 
 
 class TestTrackerShim:
-    def test_matrix_optimizers_fall_back_on_stub_trackers(self):
-        from tests.optim.helpers import BatchSpyTracker
+    def test_matrix_optimizers_run_on_stub_trackers(self):
+        for optimizer in (DiGamma(), StandardGA(population_size=20), NSGA2()):
+            tracker = BatchSpyTracker(sampling_budget=120)
+            optimizer.run(tracker, np.random.default_rng(0))
+            assert tracker.evaluations == 120
+            assert tracker.batched_evaluations == 120
 
-        tracker = BatchSpyTracker(sampling_budget=120)
-        DiGamma().run(tracker, np.random.default_rng(0))
-        assert tracker.evaluations == 120
-        assert tracker.batched_evaluations > 0
-
-        tracker = BatchSpyTracker(sampling_budget=120)
-        StandardGA(population_size=20).run(tracker, np.random.default_rng(0))
-        assert tracker.evaluations == 120
+    @pytest.mark.parametrize(
+        "optimizer, view",
+        [
+            (DiGamma(), "evaluate_matrix"),
+            (StandardGA(), "evaluate_matrix"),
+            (NSGA2(), "evaluate_matrix_results"),
+        ],
+        ids=["digamma", "stdga", "nsga2"],
+    )
+    def test_trackers_without_the_matrix_view_are_refused(self, optimizer, view):
+        scalar_only = SimpleNamespace(
+            evaluate_genome=lambda genome: 0.0,
+            evaluate_batch=lambda genomes: [0.0] * len(genomes),
+        )
+        with pytest.raises(TypeError, match=f"SearchTracker.{view}\\b"):
+            optimizer.run(scalar_only, np.random.default_rng(0))
 
     def test_matrix_population_container_round_trips(self):
         space = GenomeSpace(

@@ -1,5 +1,7 @@
 """Tests for the NSGA-II multi-objective optimizer."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -49,10 +51,21 @@ class TestHyperParameters:
 
 
 class TestTrackerContract:
-    def test_requires_batched_results_view(self):
-        tracker = QuadraticTracker(sampling_budget=50)
-        with pytest.raises(TypeError, match="evaluate_batch_results"):
+    def test_requires_matrix_results_view(self):
+        tracker = SimpleNamespace(
+            evaluate_batch=lambda genomes: [0.0] * len(genomes),
+            evaluate_batch_results=lambda genomes: [],
+        )
+        with pytest.raises(TypeError, match="evaluate_matrix_results"):
             NSGA2().run(tracker, np.random.default_rng(0))
+
+    def test_runs_on_a_scalar_stub_with_the_matrix_view(self):
+        tracker = QuadraticTracker(sampling_budget=100)
+        NSGA2(NSGA2HyperParameters(population_size=20)).run(
+            tracker, np.random.default_rng(0)
+        )
+        assert tracker.evaluations == 100
+        assert tracker.best_fitness > tracker.first_sample_fitness()
 
 
 class TestMultiObjectiveSearch:

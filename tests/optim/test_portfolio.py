@@ -8,6 +8,7 @@ from repro.optim.one_plus_one import OnePlusOneES
 from repro.optim.portfolio import PassivePortfolio, _BudgetSlice
 from repro.optim.pso import ParticleSwarm
 from repro.optim.random_search import RandomSearch
+from repro.optim.std_ga import StandardGA
 from tests.optim.helpers import BatchSpyTracker, QuadraticTracker
 
 
@@ -137,6 +138,14 @@ class TestPortfolioBudgetAccounting:
         # Every evaluation of the population members arrived in a batch.
         assert tracker.batch_calls >= 2
         assert tracker.batched_evaluations == 64
+
+    def test_ga_member_breeds_through_the_sliced_matrix_view(self, rng):
+        tracker = BatchSpyTracker(sampling_budget=70)
+        bounded = _BudgetSlice(tracker, allowed=30)
+        StandardGA(population_size=8).run(bounded, rng)
+        assert bounded._used == 30
+        assert tracker.evaluations == 30
+        assert tracker.batched_evaluations == 30
 
     def test_de_member_batches_through_real_search_tracker(self):
         from repro.arch.platform import EDGE

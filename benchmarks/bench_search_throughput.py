@@ -26,9 +26,8 @@ from repro.workloads.registry import get_model
 _ROUNDS = 3
 
 ENGINE_CONFIGS = {
-    "delta-cached": {},  # the default data path: matrix loops + delta reuse
-    "vector-cached": {"use_delta": False},
-    "vector-uncached": {"use_cache": False, "use_delta": False},
+    "vector-cached": {},  # the default data path: gene-matrix loops
+    "vector-uncached": {"use_cache": False},
     "fast-cached": {"engine": "fast"},
     "fast-uncached": {"engine": "fast", "use_cache": False},
     "reference": {"engine": "reference", "use_cache": False},

@@ -4,10 +4,9 @@ Measures, on this machine:
 
 * single-layer cost-model latency (fast engine vs the seed reference), and
 * end-to-end DiGamma search throughput on ``resnet18`` / edge — the
-  gene-matrix population data path with and without cross-generation delta
-  evaluation, the scalar engines with and without memoization, and the
-  seed reference path — reporting the speedups (and per-generation delta
-  reuse rates) the repository's perf work must not regress, and
+  gene-matrix population data path, the scalar engines with and without
+  memoization, and the seed reference path — reporting the speedups the
+  repository's perf work must not regress, and
 * cold-vs-warm search throughput over a persistent cache directory
   (``repro.cost.persist``), with the counter-verified warm L2 hit rate.
 
@@ -35,11 +34,9 @@ from repro.workloads.layer import Layer
 from repro.workloads.registry import get_model
 
 SEARCH_CONFIGS = {
-    #: The default data path: gene-matrix search loops + cross-generation
-    #: delta evaluation on top of the NumPy population engine.
-    "delta_cached": {},
-    #: Same matrix loops and engine, delta evaluation off.
-    "vector_cached": {"use_delta": False},
+    #: The default data path: gene-matrix search loops on top of the NumPy
+    #: population engine.
+    "vector_cached": {},
     "fast_cached": {"engine": "fast"},
     "fast_uncached": {"engine": "fast", "use_cache": False},
     "reference": {"engine": "reference", "use_cache": False},
@@ -49,12 +46,6 @@ SEARCH_CONFIGS = {
 #: fast path (BENCH_cost_model.json as of that PR, same machine class).
 #: The vector engine's acceptance bar is >= 2x this number.
 PR1_FAST_CACHED_EVALS_PER_SECOND = 3804.4
-
-#: The vector_cached evals/s recorded by the PR that introduced the NumPy
-#: population engine (BENCH_cost_model.json as of that PR, same machine
-#: class, population 80).  The gene-matrix + delta-evaluation acceptance
-#: bar is >= 1.8x this number.
-PR3_VECTOR_CACHED_EVALS_PER_SECOND = 8229.8
 
 
 def bench_layer_eval(repeats: int = 2000) -> dict:
@@ -90,7 +81,6 @@ def bench_search_throughput(budget: int, reps: int, seed: int = 0) -> dict:
     model = get_model("resnet18")
     samples = {name: [] for name in SEARCH_CONFIGS}
     fitness = {}
-    delta_reuse = {}
     names = list(SEARCH_CONFIGS)
     for rep in range(reps):
         # Rotate the order every repetition: a fixed order systematically
@@ -110,21 +100,6 @@ def bench_search_throughput(budget: int, reps: int, seed: int = 0) -> dict:
             elapsed = time.perf_counter() - start
             samples[name].append(result.evaluations / elapsed)
             fitness[name] = result.best.fitness if result.best else None
-            if name == "delta_cached":
-                stats = framework.evaluator.cost_model.vector_stats
-                delta_reuse = {
-                    "member_reuse_rate": round(
-                        stats["delta_members_reused"]
-                        / max(1, stats["delta_member_requests"]),
-                        4,
-                    ),
-                    "row_reuse_rate": round(
-                        stats["delta_rows_reused"]
-                        / max(1, stats["delta_row_requests"]),
-                        4,
-                    ),
-                    "generations": stats["delta_generations"],
-                }
     throughput = {
         name: round(max(values), 1) for name, values in samples.items()
     }
@@ -138,19 +113,6 @@ def bench_search_throughput(budget: int, reps: int, seed: int = 0) -> dict:
         "reps": reps,
         "population": DiGammaHyperParameters().resolved_population(budget),
         "evals_per_second": throughput,
-        "delta_reuse": delta_reuse,
-        "speedup_delta_vs_vector_cached": round(
-            throughput["delta_cached"] / throughput["vector_cached"], 2
-        ),
-        "speedup_delta_vs_pr3_vector_cached": round(
-            throughput["delta_cached"] / PR3_VECTOR_CACHED_EVALS_PER_SECOND, 2
-        ),
-        "speedup_delta_vs_fast_cached": round(
-            throughput["delta_cached"] / throughput["fast_cached"], 2
-        ),
-        "speedup_delta_vs_reference": round(
-            throughput["delta_cached"] / throughput["reference"], 2
-        ),
         "speedup_vector_vs_fast_cached": round(
             throughput["vector_cached"] / throughput["fast_cached"], 2
         ),
@@ -166,7 +128,7 @@ def bench_search_throughput(budget: int, reps: int, seed: int = 0) -> dict:
         "speedup_uncached_vs_reference": round(
             throughput["fast_uncached"] / throughput["reference"], 2
         ),
-        "best_fitness": fitness["delta_cached"],
+        "best_fitness": fitness["vector_cached"],
     }
 
 
@@ -321,18 +283,18 @@ def check_regression(
 ) -> int:
     """Benchmark-regression gate against the recorded baseline.
 
-    Absolute mode (default): re-measures the ``delta_cached`` end-to-end
-    search throughput (the default data path: gene-matrix loops + delta
-    evaluation, best of ``reps`` runs) and fails when it regresses more
-    than ``tolerance`` below the evals/s recorded in
+    Absolute mode (default): re-measures the ``vector_cached`` end-to-end
+    search throughput (the default data path: gene-matrix loops on the
+    NumPy population engine, best of ``reps`` runs) and fails when it
+    regresses more than ``tolerance`` below the evals/s recorded in
     ``BENCH_cost_model.json``.  The committed baseline is
     machine-specific, so this mode only makes sense on the machine class
     that recorded it.
 
     Relative mode (``--relative``): additionally measures the scalar
     ``fast_cached`` configuration on the *same* machine in the same run
-    and gates the delta/fast speedup ratio against the baseline's
-    recorded ``speedup_delta_vs_fast_cached``.  The ratio is
+    and gates the vector/fast speedup ratio against the baseline's
+    recorded ``speedup_vector_vs_fast_cached``.  The ratio is
     machine-independent, which is what hosted CI runners need — a slower
     runner scales both measurements, but the matrix data path silently
     degrading to scalar evaluation still collapses the ratio to ~1x.
@@ -341,7 +303,7 @@ def check_regression(
     can upload it as an artifact next to the committed baseline.
     """
     baseline = json.loads(Path(baseline_path).read_text())
-    gated = "delta_cached"
+    gated = "vector_cached"
     recorded = baseline["search_throughput"]["evals_per_second"][gated]
     if budget is None:
         budget = int(baseline["search_throughput"]["budget"])
@@ -363,7 +325,7 @@ def check_regression(
     }
     if relative:
         recorded_ratio = baseline["search_throughput"][
-            "speedup_delta_vs_fast_cached"
+            "speedup_vector_vs_fast_cached"
         ]
         fast_measured = _measure_throughput(budget, reps, engine="fast")
         measured_ratio = measured / fast_measured
@@ -478,11 +440,7 @@ def check_smoke(budget: int = 400) -> int:
     """
     model = get_model("resnet18")
     outcomes = {}
-    for name, kwargs in (
-        ("vector", {}),
-        ("nodelta", {"use_delta": False}),
-        ("fast", {"engine": "fast"}),
-    ):
+    for name, kwargs in (("vector", {}), ("fast", {"engine": "fast"})):
         framework = CoOptimizationFramework(model, get_platform("edge"), **kwargs)
         start = time.perf_counter()
         result = framework.search(
@@ -495,27 +453,18 @@ def check_smoke(budget: int = 400) -> int:
             f"{name:>7s}: {result.evaluations / elapsed:8.0f} evals/s, "
             f"best fitness {result.best.fitness!r}, "
             f"{vector_stats['rows_vectorized']} rows vectorized "
-            f"({vector_stats['rows_fallback']} scalar fallbacks, "
-            f"{vector_stats['delta_members_reused']} members + "
-            f"{vector_stats['delta_rows_reused']} rows delta-reused)"
+            f"({vector_stats['rows_fallback']} scalar fallbacks)"
         )
         if name == "vector" and vector_stats["rows_vectorized"] == 0:
             print("FAIL: the vector engine never vectorized a row")
             return 1
-        if name == "vector" and vector_stats["delta_generations"] == 0:
-            print("FAIL: delta evaluation never saw a generation")
-            return 1
-    for other in ("nodelta", "fast"):
-        if outcomes["vector"].best.fitness != outcomes[other].best.fitness:
-            print(f"FAIL: vector and {other} disagree on the search outcome")
-            return 1
-        if outcomes["vector"].history != outcomes[other].history:
-            print(f"FAIL: vector and {other} followed different trajectories")
-            return 1
-    print(
-        "OK: gene-matrix path is bit-identical to the scalar fast engine, "
-        "with delta evaluation on and off"
-    )
+    if outcomes["vector"].best.fitness != outcomes["fast"].best.fitness:
+        print("FAIL: vector and fast disagree on the search outcome")
+        return 1
+    if outcomes["vector"].history != outcomes["fast"].history:
+        print("FAIL: vector and fast followed different trajectories")
+        return 1
+    print("OK: gene-matrix path is bit-identical to the scalar fast engine")
     return 0
 
 

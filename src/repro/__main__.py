@@ -91,7 +91,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
         workers=args.workers,
         engine=args.engine,
-        use_delta=not args.no_delta,
         backend=args.backend,
         cache_dir=args.cache_dir,
     )
@@ -129,7 +128,6 @@ def _run_pareto_search(args: argparse.Namespace, model, platform) -> int:
         use_cache=not args.no_cache,
         workers=args.workers,
         engine=args.engine,
-        use_delta=not args.no_delta,
         backend=args.backend,
         cache_dir=args.cache_dir,
     )
@@ -180,21 +178,6 @@ def _print_cache_stats(framework: CoOptimizationFramework) -> None:
             f"{counters['l2_hits']}/{requests} hits ({rate:.1%}), "
             f"{counters['l2_writes']} writes, "
             f"{tier.entries} entries on disk"
-        )
-    stats = evaluator.cost_model.vector_stats
-    if stats["delta_generations"] > 0:
-        # Delta reuse resolves before the cache probes but still counts as
-        # cache hits (sequential evaluation would have hit the memos); this
-        # line reports the subset the fingerprint tables absorbed.
-        members = stats["delta_member_requests"]
-        rows = stats["delta_row_requests"]
-        print(
-            "delta reuse:  "
-            f"{stats['delta_members_reused']}/{members} members "
-            f"({stats['delta_members_reused'] / max(1, members):.1%}), "
-            f"{stats['delta_rows_reused']}/{rows} layer rows "
-            f"({stats['delta_rows_reused'] / max(1, rows):.1%}) "
-            f"over {stats['delta_generations']} generations"
         )
 
 
@@ -289,10 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "model); backends compute different costs")
     search.add_argument("--no-cache", action="store_true",
                         help="disable evaluation memoization (results are "
-                             "bit-identical either way)")
-    search.add_argument("--no-delta", action="store_true",
-                        help="disable cross-generation delta evaluation on "
-                             "the gene-matrix path (results are "
                              "bit-identical either way)")
     search.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent cross-run layer-cache directory; "

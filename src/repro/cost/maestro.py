@@ -197,21 +197,6 @@ class CostModel:
                 "analytic", self.bytes_per_element, self._energy_coefficients
             ),
         )
-        # Cross-generation delta-evaluation state: the previous generation's
-        # (member, layer) working set keyed by row fingerprint, plus the
-        # reuse counters surfaced through vector_stats.
-        object.__setattr__(self, "_delta_rows", None)
-        object.__setattr__(
-            self,
-            "delta_counters",
-            {
-                "delta_members_reused": 0,
-                "delta_member_requests": 0,
-                "delta_rows_reused": 0,
-                "delta_row_requests": 0,
-                "delta_generations": 0,
-            },
-        )
 
     # -- cache introspection -----------------------------------------------
 
@@ -221,11 +206,8 @@ class CostModel:
         return self._cache.stats()
 
     def cache_clear(self) -> None:
-        """Drop all memoized layer reports, delta tables and counters."""
+        """Drop all memoized layer reports and their counters."""
         self._cache.clear()
-        object.__setattr__(self, "_delta_rows", None)
-        for key in self.delta_counters:
-            self.delta_counters[key] = 0
 
     @property
     def layer_cache(self) -> LRUCache:
@@ -241,8 +223,7 @@ class CostModel:
         bandwidths) — all part of the cache key (the gene-matrix path
         numbers the statics through the cache's own token table, so every
         adopter agrees on the fingerprints) — and reuse across objectives
-        and optimizers is sound.  The delta table is dropped: its
-        fingerprints embed the *previous* cache's tokens.
+        and optimizers is sound.
 
         A persistent L2 tier rides along: if this model's current cache
         carries one and the adopted cache does not, the tier moves over,
@@ -254,7 +235,6 @@ class CostModel:
         if tier is not None and cache.tier is None:
             cache.tier = tier
         object.__setattr__(self, "_cache", cache)
-        object.__setattr__(self, "_delta_rows", None)
 
     def attach_persistent_cache(self, tier: PersistentLayerCache) -> None:
         """Back the layer-report LRU with a persistent L2 tier.
@@ -278,27 +258,23 @@ class CostModel:
 
     @property
     def vector_stats(self) -> Dict[str, int]:
-        """Vectorized / scalar-fallback / delta-reuse counters.
+        """Vectorized / scalar-fallback / persistent-tier counters.
 
         ``rows_vectorized`` and ``rows_fallback`` count engine rows by how
         they were priced, with ``rows_fallback`` further broken down by
         reason in the ``fallback_*`` counters (``fallback_depth``,
         ``fallback_statics_overflow``, ``fallback_intermediate_overflow``,
-        ``fallback_small_batch``, ``fallback_gene_overflow``); the
-        ``delta_*`` counters track cross-generation delta evaluation —
-        members and (member, layer) rows reused from the previous
-        generation's fingerprint tables without touching the engine (see
-        :meth:`evaluate_model_matrix`).  The ``l2_*`` counters report the
-        persistent tier when one is attached (an L2 hit also counts as an
-        L1 miss, so the L1 hit/miss counters are identical cold or warm
-        and the tier's effect is purely who supplies the miss).
+        ``fallback_small_batch``, ``fallback_gene_overflow``).  The
+        ``l2_*`` counters report the persistent tier when one is attached
+        (an L2 hit also counts as an L1 miss, so the L1 hit/miss counters
+        are identical cold or warm and the tier's effect is purely who
+        supplies the miss).
         """
-        stats = dict(self.delta_counters)
         tier = self._cache.tier
         if tier is None:
-            stats.update(l2_hits=0, l2_misses=0, l2_writes=0)
+            stats = {"l2_hits": 0, "l2_misses": 0, "l2_writes": 0}
         else:
-            stats.update(tier.counters())
+            stats = tier.counters()
         engine = self.__dict__.get("_vector_engine")
         if engine is None:
             stats.update(rows_vectorized=0, rows_fallback=0)
@@ -794,11 +770,8 @@ class CostModel:
         )
 
     def __getstate__(self) -> dict:
-        # Worker processes re-derive engine state lazily; the cross-
-        # generation delta table is never worth shipping (results are pure
-        # functions of their rows, so workers just re-price once).
+        # Worker processes re-derive engine state lazily.
         state = dict(self.__dict__)
-        state["_delta_rows"] = None
         state.pop("_vector_engine", None)
         return state
 
@@ -810,7 +783,6 @@ class CostModel:
         design_matrix: np.ndarray,
         noc_bandwidth: float,
         dram_bandwidth: float,
-        use_delta: bool = False,
     ) -> List[ModelPerformance]:
         """Evaluate one model under many *repaired gene rows* in one pass.
 
@@ -823,15 +795,6 @@ class CostModel:
         construction — and deduplicated by raw row bytes before anything
         touches a Python dict.  Results are bit-identical to
         :meth:`evaluate_model_batch` on the rows' cache keys.
-
-        With ``use_delta`` the previous call's (member, layer) working set
-        is kept as a generation-scoped fingerprint table: rows unchanged
-        since the last generation resolve from it directly, before (and
-        regardless of) the LRU — a guaranteed, unevictable reuse window one
-        generation wide.  A delta hit counts as a layer-cache hit (the
-        value was priced one generation ago); the dedicated
-        ``delta_rows_reused`` counter in :attr:`vector_stats` tracks how
-        much work the table absorbed per generation.
         """
         if self.engine == "reference":
             raise ValueError(
@@ -871,7 +834,7 @@ class CostModel:
         # row's bytes fingerprint the *full* composite cache key — same
         # contract as the tuple keys, which include the statics and both
         # bandwidths — and calls with different bandwidths can never alias
-        # in the LRU or delta table.
+        # in the LRU.
         width = 1 + GENES_PER_LEVEL * num_levels + 2
         work = np.empty((num_designs * num_layers, width), dtype=np.int64)
         work[:, 0] = np.tile(layer_tokens, num_designs)
@@ -918,25 +881,12 @@ class CostModel:
         data = cache.data
         hits = misses = 0
         l2_served = 0
-        counters = self.delta_counters
-        prev_rows = self._delta_rows if use_delta else None
-        next_rows: Optional[dict] = {} if use_delta else None
-        rows_reused = 0
         entries: List = [None] * (num_designs * num_layers)
         pending: Dict[bytes, int] = {}
         pending_digest: Dict[bytes, bytes] = {}
         pending_positions: List[int] = []
         for index in range(num_designs * num_layers):
             fingerprint = raw[index * step : index * step + step]
-            if prev_rows is not None:
-                value = prev_rows.get(fingerprint)
-                if value is not None:
-                    rows_reused += 1
-                    if cache_on:
-                        hits += 1
-                    entries[index] = value
-                    next_rows[fingerprint] = value
-                    continue
             slot = pending.get(fingerprint)
             if slot is not None:
                 # Sequential evaluation would have resolved the first
@@ -950,8 +900,6 @@ class CostModel:
                 if value is not None:
                     hits += 1
                     entries[index] = value
-                    if next_rows is not None:
-                        next_rows[fingerprint] = value
                     continue
                 if tier is not None:
                     digest = matrix_row_digest(
@@ -967,8 +915,6 @@ class CostModel:
                         data[fingerprint] = value
                         if len(data) > maxsize:
                             data.popitem(last=False)
-                        if next_rows is not None:
-                            next_rows[fingerprint] = value
                         continue
                     pending_digest[fingerprint] = digest
             pending[fingerprint] = len(pending_positions)
@@ -1003,19 +949,11 @@ class CostModel:
                         data.popitem(last=False)
                     if tier is not None:
                         tier.put(pending_digest[fingerprint], row_values)
-            if next_rows is not None:
-                for fingerprint, slot in pending.items():
-                    next_rows[fingerprint] = values[slot]
         if cache_on:
             cache.hits += hits
             cache.misses += misses + l2_served
         if tier is not None:
             tier.flush()
-        if next_rows is not None:
-            object.__setattr__(self, "_delta_rows", next_rows)
-            counters["delta_rows_reused"] += rows_reused
-            counters["delta_row_requests"] += num_designs * num_layers
-            counters["delta_generations"] += 1
 
         performances: List[ModelPerformance] = []
         for design_index in range(num_designs):

@@ -38,10 +38,15 @@ syscall per flush on an ``O_APPEND`` descriptor (concurrent writers never
 interleave bytes), partial trailing lines healed by prefixing a newline,
 undecodable lines counted and reported via
 :class:`PersistentCacheCorruption` — a damaged record is *never served*;
-lookups re-verify the stored digest before returning a row.  The binary
-index sidecar is a rebuildable accelerator: any inconsistency (torn
-entry, stale header, wrong version) discards it and rescans the data
-file, which remains the single source of truth.  A data file whose header
+lookups re-verify the stored digest before returning a row.  Several
+writers may share one directory (shards or pool workers with one cache
+dir): a flush takes its record offsets from where its append actually
+landed, and the index sidecar only ever covers data its writer has
+indexed — other writers' appends are scanned in first — so no writer
+hides another's rows.  The binary index sidecar is a rebuildable
+accelerator: any inconsistency (torn entry, stale header, wrong version)
+discards it and rescans the data file, which remains the single source
+of truth.  A data file whose header
 does not match :data:`FORMAT_NAME`/:data:`KEY_VERSION` is quarantined
 (renamed aside) and the cache starts fresh rather than risk serving rows
 keyed under different rules.
@@ -214,6 +219,10 @@ class PersistentLayerCache:
         #: Entries found on disk at open — the cross-run carryover.
         self.loaded_entries = 0
         self._offsets: Optional[Dict[bytes, Tuple[int, int]]] = None
+        #: Data-file prefix whose records are all in ``_offsets``; other
+        #: writers' appends past it are indexed before the sidecar is
+        #: written (see :meth:`_write_index`).
+        self._covered = 0
         self._buffer: Dict[bytes, tuple] = {}
         self._descriptor: Optional[int] = None
 
@@ -283,24 +292,33 @@ class PersistentLayerCache:
             # A previous writer died mid-line: close its partial line so
             # one crash can never corrupt two records.
             prefix = b"\n"
-        pieces = []
-        locations = []
-        cursor = size + len(prefix)
-        for digest, values in self._buffer.items():
-            line = (
-                json.dumps({"k": digest.hex(), "v": list(values)}) + "\n"
-            ).encode()
-            pieces.append(line)
-            locations.append((digest, cursor, len(line)))
-            cursor += len(line)
-        data = prefix + b"".join(pieces)
-        view = memoryview(data)
+        lines = [
+            (json.dumps({"k": digest.hex(), "v": list(values)}) + "\n").encode()
+            for digest, values in self._buffer.items()
+        ]
+        data = prefix + b"".join(lines)
+        written = os.write(descriptor, data)
+        # O_APPEND put the bytes at the end of the file as it was at write
+        # time, past anything another writer appended since the size
+        # probe, so offsets come from where the write actually landed.
+        start = os.lseek(descriptor, 0, os.SEEK_CUR) - written
+        view = memoryview(data)[written:]
         while view:  # short writes (ENOSPC, signals) must not truncate
             view = view[os.write(descriptor, view) :]
         if self.durability == "fsync":
             os.fsync(descriptor)
-        for digest, offset, length in locations:
-            self._offsets[digest] = (offset, length)
+        end = os.lseek(descriptor, 0, os.SEEK_CUR)
+        if end - start == len(data):
+            cursor = start + len(prefix)
+            for digest, line in zip(self._buffer, lines):
+                self._offsets[digest] = (cursor, len(line))
+                cursor += len(line)
+            if start == self._covered:
+                self._covered = end
+        else:
+            # Another writer landed between the pieces of a short write:
+            # index this batch's records from where they ended up.
+            self._scan_tail()
         self._buffer.clear()
 
     def close(self) -> None:
@@ -351,7 +369,7 @@ class PersistentLayerCache:
 
     def verify(self) -> Dict[str, Union[int, bool, str]]:
         """Read-only integrity report of the data file."""
-        offsets, corrupt = self._scan_data(0, {})
+        offsets, corrupt, _ = self._scan_data(0, {})
         return {
             "path": str(self.data_path),
             "entries": len(offsets),
@@ -365,25 +383,8 @@ class PersistentLayerCache:
         """Load (or initialize) the store: header check, index, tail scan."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.data_path
-        offsets: Dict[bytes, Tuple[int, int]] = {}
-        if path.exists() and path.stat().st_size > 0:
-            if not self._header_ok():
-                self._quarantine()
-            else:
-                covered = 0
-                from_index = self._load_index(offsets)
-                if from_index is not None:
-                    covered = from_index
-                offsets, corrupt = self._scan_data(covered, offsets)
-                if corrupt:
-                    warnings.warn(
-                        f"{path}: skipped {corrupt} undecodable cache "
-                        "line(s); damaged rows are re-priced by the "
-                        "engine, never served",
-                        PersistentCacheCorruption,
-                        stacklevel=3,
-                    )
-                    self.corrupt_lines += corrupt
+        if path.exists() and path.stat().st_size > 0 and not self._header_ok():
+            self._quarantine()
         if not path.exists() or path.stat().st_size == 0:
             header = (
                 json.dumps(
@@ -405,6 +406,17 @@ class PersistentLayerCache:
                         view = view[os.write(descriptor, view) :]
             finally:
                 os.close(descriptor)
+        offsets: Dict[bytes, Tuple[int, int]] = {}
+        covered = self._load_index(offsets) or 0
+        offsets, corrupt, self._covered = self._scan_data(covered, offsets)
+        if corrupt:
+            warnings.warn(
+                f"{path}: skipped {corrupt} undecodable cache line(s); "
+                "damaged rows are re-priced by the engine, never served",
+                PersistentCacheCorruption,
+                stacklevel=3,
+            )
+            self.corrupt_lines += corrupt
         self._offsets = offsets
         self.loaded_entries = len(offsets)
 
@@ -483,22 +495,30 @@ class PersistentLayerCache:
         return covered
 
     def _write_index(self) -> None:
-        """Atomically persist the offset table (temp + fsync + replace)."""
-        covered = 0
-        if self._descriptor is not None:
-            covered = os.fstat(self._descriptor).st_size
-        elif self.data_path.exists():
-            covered = self.data_path.stat().st_size
-        entries = self._offsets or {}
+        """Atomically persist the offset table (temp + fsync + replace).
+
+        The index claims to cover only data this instance has indexed:
+        other writers' appends are scanned in first, so the last writer
+        to close never hides their rows from later runs.
+        """
+        self._scan_tail()
+        entries = self._offsets
         pieces = [
             _INDEX_HEADER.pack(
-                _INDEX_MAGIC, _INDEX_VERSION, KEY_VERSION, covered, len(entries)
+                _INDEX_MAGIC,
+                _INDEX_VERSION,
+                KEY_VERSION,
+                self._covered,
+                len(entries),
             )
         ]
         for digest, (offset, length) in entries.items():
             pieces.append(_INDEX_RECORD.pack(digest, offset, length))
         data = b"".join(pieces)
-        replacement = self.index_path.with_name(self.index_path.name + ".tmp")
+        # Writers sharing the directory each stage their own temp file.
+        replacement = self.index_path.with_name(
+            f"{INDEX_FILE}.{os.getpid()}-{id(self):x}.tmp"
+        )
         descriptor = os.open(
             replacement, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
         )
@@ -511,27 +531,37 @@ class PersistentLayerCache:
             os.close(descriptor)
         os.replace(replacement, self.index_path)
 
+    def _scan_tail(self) -> None:
+        """Index records appended past :attr:`_covered` (by any writer)."""
+        _, corrupt, self._covered = self._scan_data(self._covered, self._offsets)
+        self.corrupt_lines += corrupt
+
     def _scan_data(
         self, start: int, offsets: Dict[bytes, Tuple[int, int]]
-    ) -> Tuple[Dict[bytes, Tuple[int, int]], int]:
-        """Index data records from byte ``start`` on; returns corrupt count.
+    ) -> Tuple[Dict[bytes, Tuple[int, int]], int, int]:
+        """Index data records from byte ``start`` on.
 
-        A trailing line without a newline is a partial record from a
-        killed writer: it is counted corrupt here (it cannot be served)
-        and healed by the newline-prefix check on the next append.
+        Returns the offsets, the corrupt-line count and the end of the
+        last complete line.  A trailing line without a newline is a
+        partial record from a killed (or still writing) writer: it is
+        counted corrupt here (it cannot be served), left outside the
+        returned end so a later scan revisits it, and healed by the
+        newline-prefix check on the next append.
         """
         corrupt = 0
+        cursor = start
         try:
             with self.data_path.open("rb") as handle:
                 handle.seek(start)
-                cursor = start
                 for line in handle:
                     length = len(line)
                     offset = cursor
-                    cursor += length
                     stripped = line.strip()
-                    if not stripped or not line.endswith(b"\n"):
+                    if not line.endswith(b"\n"):
                         corrupt += 1 if stripped else 0
+                        break
+                    cursor += length
+                    if not stripped:
                         continue
                     try:
                         record = json.loads(stripped)
@@ -548,7 +578,7 @@ class PersistentLayerCache:
                     offsets[digest] = (offset, length)
         except OSError:
             pass
-        return offsets, corrupt
+        return offsets, corrupt, cursor
 
     def _read_record(
         self, digest: bytes, offset: int, length: int

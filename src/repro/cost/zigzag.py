@@ -244,17 +244,6 @@ class ZigZagCostModel:
                 "zigzag", self.bytes_per_element, self._energy_coefficients
             ),
         )
-        object.__setattr__(
-            self,
-            "delta_counters",
-            {
-                "delta_members_reused": 0,
-                "delta_member_requests": 0,
-                "delta_rows_reused": 0,
-                "delta_row_requests": 0,
-                "delta_generations": 0,
-            },
-        )
 
     # -- cache plumbing (protocol parity with CostModel) -------------------
 
@@ -266,8 +255,6 @@ class ZigZagCostModel:
     def cache_clear(self) -> None:
         """Drop all memoized layer reports and counters."""
         self._cache.clear()
-        for key in self.delta_counters:
-            self.delta_counters[key] = 0
 
     @property
     def layer_cache(self) -> LRUCache:
@@ -293,12 +280,11 @@ class ZigZagCostModel:
     @property
     def vector_stats(self) -> dict:
         """Stats dict with the standard keys (this backend has no vector path)."""
-        stats = dict(self.delta_counters)
         tier = self._cache.tier
         if tier is None:
-            stats.update(l2_hits=0, l2_misses=0, l2_writes=0)
+            stats = {"l2_hits": 0, "l2_misses": 0, "l2_writes": 0}
         else:
-            stats.update(tier.counters())
+            stats = tier.counters()
         stats.update(
             rows_vectorized=0,
             rows_fallback=0,

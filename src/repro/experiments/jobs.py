@@ -208,8 +208,8 @@ def build_framework(
 ) -> CoOptimizationFramework:
     """Build the co-optimization framework a spec's searches run through.
 
-    Engine knobs that never change results — workers, memoization,
-    delta evaluation, the persistent ``cache_dir`` tier — arrive via
+    Engine knobs that never change results — workers, memoization, the
+    persistent ``cache_dir`` tier — arrive via
     ``settings.framework_options()`` and stay out of job identities;
     knobs that *do* change what a search computes (backend, objective,
     budget, ...) live on the spec and join its ``job_id``.

@@ -733,7 +733,7 @@ class SweepRunner:
         evaluator = framework.evaluator
         design_before = evaluator.design_cache_stats
         layer_before = evaluator.layer_cache_stats
-        delta_before = dict(evaluator.cost_model.vector_stats)
+        counters_before = evaluator.cost_model.vector_stats
         plan = self.settings.fault_plan
 
         def execute() -> AnyResult:
@@ -764,11 +764,11 @@ class SweepRunner:
         search = self._with_timeout(execute, spec)
         design_stats = evaluator.design_cache_stats.since(design_before)
         layer_stats = evaluator.layer_cache_stats.since(layer_before)
-        delta_stats = {
-            key: value - delta_before.get(key, 0)
+        counters = {
+            key: value - counters_before.get(key, 0)
             for key, value in evaluator.cost_model.vector_stats.items()
         }
-        extra = {"cache": _cache_record(design_stats, layer_stats, delta_stats)}
+        extra = {"cache": _cache_record(design_stats, layer_stats, counters)}
         cache_line = (
             f"[design cache {design_stats.hit_rate:.0%} of "
             f"{design_stats.requests}, layer cache "
@@ -933,18 +933,19 @@ class SweepRunner:
 
 
 def _cache_record(
-    design: "CacheStats", layer: "CacheStats", delta: dict
+    design: "CacheStats", layer: "CacheStats", counters: dict
 ) -> dict:
     """JSON-ready per-search cache statistics for the result store.
 
-    The ``delta`` and ``vector`` sections only appear for searches that
-    actually ran through the delta-filtered gene-matrix path / the vector
-    engine; jobs on the scalar engines (or with ``--no-delta``) keep
-    their records free of all-zero noise.  ``vector`` splits the scalar
-    fallbacks by reason, so a sweep record shows at a glance *why* rows
-    left the vector path (``fallback_depth`` in particular is a
-    regression detector: the depth-generalized engine prices every
-    hierarchy depth, so it must stay 0).
+    ``counters`` is the search's difference of the cost model's
+    ``vector_stats``.  The ``l2`` and ``vector`` sections only appear for
+    searches that actually used the persistent tier / the vector engine;
+    jobs on the scalar engines keep their records free of all-zero
+    noise.  ``vector`` splits the scalar fallbacks by reason, so a sweep
+    record shows at a glance *why* rows left the vector path
+    (``fallback_depth`` in particular is a regression detector: the
+    depth-generalized engine prices every hierarchy depth, so it must
+    stay 0).
     """
     record = {
         "design": {
@@ -958,9 +959,9 @@ def _cache_record(
             "hit_rate": round(layer.hit_rate, 4),
         },
     }
-    l2_hits = delta.get("l2_hits", 0)
-    l2_misses = delta.get("l2_misses", 0)
-    l2_writes = delta.get("l2_writes", 0)
+    l2_hits = counters.get("l2_hits", 0)
+    l2_misses = counters.get("l2_misses", 0)
+    l2_writes = counters.get("l2_writes", 0)
     if l2_hits or l2_misses or l2_writes:
         l2_requests = l2_hits + l2_misses
         record["l2"] = {
@@ -969,41 +970,21 @@ def _cache_record(
             "writes": l2_writes,
             "hit_rate": round(l2_hits / l2_requests, 4) if l2_requests else 0.0,
         }
-    member_requests = delta.get("delta_member_requests", 0)
-    row_requests = delta.get("delta_row_requests", 0)
-    if member_requests or row_requests:
-        record["delta"] = {
-            "members_reused": delta.get("delta_members_reused", 0),
-            "member_requests": member_requests,
-            "member_reuse_rate": round(
-                delta.get("delta_members_reused", 0) / member_requests, 4
-            )
-            if member_requests
-            else 0.0,
-            "rows_reused": delta.get("delta_rows_reused", 0),
-            "row_requests": row_requests,
-            "row_reuse_rate": round(
-                delta.get("delta_rows_reused", 0) / row_requests, 4
-            )
-            if row_requests
-            else 0.0,
-            "generations": delta.get("delta_generations", 0),
-        }
-    rows_vectorized = delta.get("rows_vectorized", 0)
-    rows_fallback = delta.get("rows_fallback", 0)
+    rows_vectorized = counters.get("rows_vectorized", 0)
+    rows_fallback = counters.get("rows_fallback", 0)
     if rows_vectorized or rows_fallback:
         record["vector"] = {
             "rows_vectorized": rows_vectorized,
             "rows_fallback": rows_fallback,
-            "fallback_depth": delta.get("fallback_depth", 0),
-            "fallback_statics_overflow": delta.get(
+            "fallback_depth": counters.get("fallback_depth", 0),
+            "fallback_statics_overflow": counters.get(
                 "fallback_statics_overflow", 0
             ),
-            "fallback_intermediate_overflow": delta.get(
+            "fallback_intermediate_overflow": counters.get(
                 "fallback_intermediate_overflow", 0
             ),
-            "fallback_small_batch": delta.get("fallback_small_batch", 0),
-            "fallback_gene_overflow": delta.get("fallback_gene_overflow", 0),
+            "fallback_small_batch": counters.get("fallback_small_batch", 0),
+            "fallback_gene_overflow": counters.get("fallback_gene_overflow", 0),
         }
     return record
 
@@ -1079,12 +1060,6 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "order-aware model, default) or 'zigzag' (independently coded "
         "memory-centric model); unlike --engine, backends compute "
         "different costs and join every job id",
-    )
-    parser.add_argument(
-        "--no-delta",
-        action="store_true",
-        help="disable cross-generation delta evaluation on the gene-matrix "
-        "path (results are bit-identical either way)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -1173,7 +1148,6 @@ def settings_from_args(
         workers=args.workers,
         engine=getattr(args, "engine", "vector"),
         backend=getattr(args, "backend", "analytic"),
-        use_delta=not getattr(args, "no_delta", False),
         cache_dir=getattr(args, "cache_dir", None),
         retries=getattr(args, "retries", 0),
         retry_backoff=getattr(args, "retry_backoff", 0.1),

@@ -4,8 +4,8 @@ A long search is all-or-nothing without this module: a preempted worker, a
 ``--job-timeout`` expiry or a Ctrl-C throws away every priced generation and
 the retry restarts from generation zero.  The ingredients for something much
 stronger already exist — every optimizer loop is RNG-stream-identical over
-the packed gene matrix, and all caches/delta tables are bit-identical
-*accelerators* (dropping them never changes results) — so the complete state
+the packed gene matrix, and all caches are bit-identical *accelerators*
+(dropping them never changes results) — so the complete state
 of a search at a generation boundary is small and exact:
 
 * the serialized ``np.random.Generator`` bit-generator state,
@@ -20,11 +20,10 @@ archive are stored as gene rows and re-priced on restore rather than
 serialized with every per-layer performance record — a depth-3 NSGA-II
 archive shrinks from megabytes to tens of kilobytes per save.
 
-Evaluator delta tables and memo caches are deliberately **not** captured:
-restoring into a fresh process with cold caches is the tested delta-on/off
-invariance, so resume stays bit-identical while checkpoints stay small —
-that is the "invalidation token" design (the token is the absence of the
-tables).
+Evaluator memo caches are deliberately **not** captured: restoring into a
+fresh process with cold caches is the tested cache-on/off invariance, so
+resume stays bit-identical while checkpoints stay small — that is the
+"invalidation token" design (the token is the absence of the caches).
 
 Durability follows the ``ResultStore`` / ``PersistentLayerCache``
 discipline: a checkpoint is one JSON payload behind a versioned header

@@ -154,8 +154,7 @@ class SearchTracker:
         The matrix-native counterpart of :meth:`evaluate_batch` — same
         budget/truncation semantics, bit-identical fitnesses — fed by the
         population data path: one vectorized repair pass, the evaluator's
-        fingerprint-keyed design reuse and delta filter, then the packed
-        vector engine.  No per-member ``Genome`` is constructed.
+        fingerprint-keyed design reuse, then the packed vector engine.  No per-member ``Genome`` is constructed.
         """
         return [result.fitness for result in self.evaluate_matrix_results(matrix)]
 

@@ -118,6 +118,9 @@ class TestZigZagPlumbing:
     def test_vector_stats_has_every_standard_key(self):
         stats = create_backend("zigzag").vector_stats
         for key in (
+            "l2_hits",
+            "l2_misses",
+            "l2_writes",
             "rows_vectorized",
             "rows_fallback",
             "fallback_depth",
@@ -125,10 +128,9 @@ class TestZigZagPlumbing:
             "fallback_intermediate_overflow",
             "fallback_small_batch",
             "fallback_gene_overflow",
-            "delta_generations",
-            "delta_member_requests",
         ):
             assert stats[key] == 0
+        assert len(stats) == 10
 
     def test_matrix_path_is_rejected(self):
         backend = create_backend("zigzag")

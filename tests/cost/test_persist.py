@@ -8,10 +8,16 @@ results.
 """
 
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cost.cache import LRUCache
 from repro.cost.maestro import CostModel
 from repro.cost.persist import (
@@ -30,6 +36,7 @@ from repro.optim.registry import get_optimizer
 
 NOC = 32.0
 DRAM = 8.0
+SRC_ROOT = Path(repro.__file__).resolve().parent.parent
 
 
 def _digest(tag: str) -> bytes:
@@ -212,6 +219,103 @@ class TestCorruptionHandling:
             handle.write(b"nonsense\n")
         report = cache.verify()
         assert report["ok"] is False and report["corrupt_lines"] == 1
+
+
+class TestConcurrentWriters:
+    def test_interleaved_flushes_keep_every_row(self, tmp_path, monkeypatch):
+        # Two writers on one directory (shards or pool workers sharing a
+        # --cache-dir): the second appends while the first is between its
+        # size probe and its own append.
+        first = PersistentLayerCache(tmp_path)
+        second = PersistentLayerCache(tmp_path)
+        first.put(_digest("a0"), (0, 0.5))
+        first.put(_digest("a1"), (1, 1.5))
+        second.put(_digest("b0"), (2, 2.5))
+
+        real_pread = os.pread
+        pending = [second]
+
+        def pread(descriptor, length, offset):
+            if pending:
+                pending.pop().flush()
+            return real_pread(descriptor, length, offset)
+
+        monkeypatch.setattr(os, "pread", pread)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PersistentCacheCorruption)
+            first.flush()
+            assert not pending  # the interleaving really happened
+            # Each writer serves its own fresh rows from disk.
+            assert first.get(_digest("a0")) == (0, 0.5)
+            assert first.get(_digest("a1")) == (1, 1.5)
+            assert second.get(_digest("b0")) == (2, 2.5)
+            first.close()
+            second.close()
+
+            # The last index written must not hide the other writer's rows.
+            fresh = PersistentLayerCache(tmp_path)
+            assert fresh.get(_digest("a0")) == (0, 0.5)
+            assert fresh.get(_digest("a1")) == (1, 1.5)
+            assert fresh.get(_digest("b0")) == (2, 2.5)
+        assert fresh.corrupt_lines == 0
+
+    def test_writer_processes_sharing_a_directory_lose_nothing(self, tmp_path):
+        writers, flushes = 4, 25
+        env = {**os.environ, "PYTHONPATH": str(SRC_ROOT)}
+        processes = [
+            subprocess.Popen(
+                [sys.executable, "-c", _WRITER, str(tmp_path), f"w{index}",
+                 str(flushes)],
+                env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True,
+            )
+            for index in range(writers)
+        ]
+        try:
+            # Every writer has opened the store before any of them appends.
+            for process in processes:
+                assert process.stdout.readline().strip() == "ready"
+            for process in processes:
+                process.stdin.write("go\n")
+                process.stdin.flush()
+            for process in processes:
+                out, err = process.communicate(timeout=60)
+                assert process.returncode == 0, err
+                assert out.strip() == str(flushes)
+        finally:
+            for process in processes:
+                process.kill()
+                process.wait()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PersistentCacheCorruption)
+            fresh = PersistentLayerCache(tmp_path)
+            for index in range(writers):
+                for i in range(flushes):
+                    assert fresh.get(_digest(f"w{index}-{i}")) == (index, i)
+        assert fresh.corrupt_lines == 0
+
+
+#: One writer process: opens the store, waits for "go", then flushes one
+#: row at a time, reading each back, and prints how many it read back.
+_WRITER = """
+import hashlib, sys, warnings
+from repro.cost.persist import PersistentLayerCache
+warnings.simplefilter("error")
+directory, tag, flushes = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = PersistentLayerCache(directory)
+cache.entries
+print("ready", flush=True)
+sys.stdin.readline()
+served = 0
+for i in range(flushes):
+    digest = hashlib.sha1(f"{tag}-{i}".encode()).digest()
+    cache.put(digest, (int(tag[1:]), i))
+    cache.flush()
+    served += cache.get(digest) == (int(tag[1:]), i)
+cache.close()
+print(served)
+"""
 
 
 class TestDigestScheme:

@@ -597,6 +597,8 @@ class TestCacheReuseAcrossJobs:
             stats = record["cache"][cache_name]
             assert set(stats) == {"hits", "misses", "hit_rate"}
             assert stats["hits"] >= 0 and stats["misses"] > 0
+        assert {"design", "layer", "vector"} <= set(record["cache"])
+        assert "delta" not in record["cache"]
         # Cache-annotated stores stay resumable.
         resumed = SweepRunner(
             [spec], settings=TINY, store=store, resume=True

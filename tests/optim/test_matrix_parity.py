@@ -4,8 +4,8 @@ The hard invariant of this repository's perf work: rewriting a search
 inner loop must not change *anything* about the search — the RNG stream,
 the fitness sequence, the best design, the history.  Every matrix-native
 loop is pinned here against a per-genome reference loop kept in this
-module, and the engine selectors and delta evaluation are pinned against
-each other through whole searches.
+module, and the engine selectors are pinned against each other through
+whole searches.
 """
 
 from __future__ import annotations
@@ -262,30 +262,21 @@ class TestLoopParity:
         assert matrix.best.fitness == reference.best.fitness
 
 
-class TestEngineAndDeltaParity:
+class TestEngineParity:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"engine": "fast"},
             {"engine": "reference"},
-            {"use_delta": False},
             {"use_cache": False},
         ],
-        ids=["fast", "reference", "no-delta", "no-cache"],
+        ids=["fast", "reference", "no-cache"],
     )
     def test_whole_search_trajectories_are_pinned(self, ncf, kwargs):
         want = _search(ncf, DiGamma())
         got = _search(ncf, DiGamma(), **kwargs)
         assert got.history == want.history
         assert got.best.fitness == want.best.fitness
-
-    def test_delta_reuse_actually_fires_during_a_search(self, ncf):
-        framework = CoOptimizationFramework(ncf, get_platform("edge"))
-        framework.search(DiGamma(), sampling_budget=600, seed=3)
-        stats = framework.evaluator.cost_model.vector_stats
-        assert stats["delta_generations"] > 1
-        assert stats["delta_members_reused"] > 0
-        assert stats["delta_rows_reused"] > 0
 
 
 class _ReferencePSO(ParticleSwarm):

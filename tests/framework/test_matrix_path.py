@@ -4,6 +4,9 @@ Contracts pinned here:
 
 * ``DesignEvaluator.evaluate_matrix`` is bit-identical to evaluating the
   same (repaired) genomes one by one, under every engine selector;
+* the design LRU and the layer LRU reuse survivors and unchanged
+  (member, layer) rows across generations without changing any result,
+  with their counters surfacing in the evaluator's cache stats;
 * the layer LRU's row fingerprints carry the full composite key (statics
   identity and both bandwidths), so rows never alias across layer shapes
   or bandwidths;
@@ -141,6 +144,73 @@ class TestLazyResults:
             want = genome_to_genes(repaired_copy(genome, space))
             assert result.genes == want
             assert evaluator.evaluate_genome(result.genome).genes == want
+
+
+def _next_generation(genomes, space, survivors, dim):
+    """Elitist survivors followed by children with one tile shrunk."""
+    children = []
+    for genome in genomes[survivors:]:
+        child = genome.copy()
+        child.levels[1].tiles[dim] = max(1, child.levels[1].tiles[dim] - 1)
+        children.append(child)
+    return repaired_matrix(
+        GenomeMatrix.from_genomes(genomes[:survivors] + children), space
+    )
+
+
+class TestCrossGenerationReuse:
+    def test_results_identical_with_cache_on_and_off(self, resnet18):
+        on = DesignEvaluator(model=resnet18, platform=EDGE)
+        off = DesignEvaluator(model=resnet18, platform=EDGE, use_cache=False)
+        space, genomes, matrix = _repaired_population(on, 20, seed=37)
+        second = _next_generation(genomes, space, survivors=7, dim="R")
+        for generation in (matrix, second):
+            for a, b in zip(
+                on.evaluate_matrix(generation), off.evaluate_matrix(generation)
+            ):
+                _assert_results_identical(a, b)
+
+    def test_member_and_row_reuse_counters(self, resnet18):
+        evaluator = DesignEvaluator(model=resnet18, platform=EDGE)
+        space, genomes, matrix = _repaired_population(evaluator, 15, seed=41)
+        evaluator.evaluate_matrix(matrix)
+        first = evaluator.design_cache_stats
+        assert first.requests == 15
+        assert first.hits == len(matrix) - len(
+            {row.tobytes() for row in matrix.data}
+        )
+        layers_before = evaluator.layer_cache_stats
+
+        second = _next_generation(genomes, space, survivors=5, dim="S")
+        evaluator.evaluate_matrix(second)
+        design = evaluator.design_cache_stats.since(first)
+        layers = evaluator.layer_cache_stats.since(layers_before)
+        assert design.requests == 15
+        assert design.hits >= 5  # elitist survivors
+        assert layers.hits > 0  # unchanged (member, layer) rows of children
+
+    def test_disabled_cache_keeps_counters_at_zero(self, ncf):
+        evaluator = DesignEvaluator(model=ncf, platform=EDGE, use_cache=False)
+        _, _, matrix = _repaired_population(evaluator, 10, seed=43)
+        evaluator.evaluate_matrix(matrix)
+        evaluator.evaluate_matrix(matrix)
+        stats = evaluator.cache_stats
+        assert stats.hits == 0
+        assert stats.misses == 0
+        assert stats.size == 0
+
+    def test_cache_clear_drops_memoized_results(self, ncf):
+        evaluator = DesignEvaluator(model=ncf, platform=EDGE)
+        _, _, matrix = _repaired_population(evaluator, 10, seed=47)
+        want = evaluator.evaluate_matrix(matrix)
+        evaluator.cache_clear()
+        stats = evaluator.cache_stats
+        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
+        unique = len({row.tobytes() for row in matrix.data})
+        got = evaluator.evaluate_matrix(matrix)
+        assert evaluator.design_cache_stats.misses == unique
+        for a, b in zip(got, want):
+            _assert_results_identical(a, b)
 
 
 class TestRowFingerprints:

@@ -278,6 +278,13 @@ class TestEngineParity:
         assert got.history == want.history
         assert got.best.fitness == want.best.fitness
 
+    def test_cache_reuse_actually_fires_during_a_search(self, ncf):
+        framework = CoOptimizationFramework(ncf, get_platform("edge"))
+        framework.search(DiGamma(), sampling_budget=600, seed=3)
+        evaluator = framework.evaluator
+        assert evaluator.design_cache_stats.hits > 0
+        assert evaluator.layer_cache_stats.hits > 0
+
 
 class _ReferencePSO(ParticleSwarm):
     """The pre-vectorization per-particle update loop, kept as ground truth."""

@@ -431,39 +431,45 @@ def check_regression(
 
 
 def check_smoke(budget: int = 400) -> int:
-    """CI smoke: vector vs fast parity on a small population + micro-bench.
+    """CI smoke: vector vs fast parity on small populations + micro-bench.
 
     One DiGamma search per engine on a GA population (budget // 25 members)
-    asserting *bit-identical* best fitness, plus a throughput line so CI
-    logs track the speed plumbing.  Exits non-zero if the engines disagree
-    or the vector path failed to vectorize anything.
+    and one RandomSearch per engine (64-sample genome-list chunks, the
+    tracker's ``evaluate_batch`` view), each asserting *bit-identical* best
+    fitness and history, plus a throughput line so CI logs track the speed
+    plumbing.  Exits non-zero if the engines disagree or the vector path
+    failed to vectorize anything.
     """
     model = get_model("resnet18")
-    outcomes = {}
-    for name, kwargs in (("vector", {}), ("fast", {"engine": "fast"})):
-        framework = CoOptimizationFramework(model, get_platform("edge"), **kwargs)
-        start = time.perf_counter()
-        result = framework.search(
-            get_optimizer("digamma"), sampling_budget=budget, seed=0
-        )
-        elapsed = time.perf_counter() - start
-        vector_stats = framework.evaluator.cost_model.vector_stats
-        outcomes[name] = result
-        print(
-            f"{name:>7s}: {result.evaluations / elapsed:8.0f} evals/s, "
-            f"best fitness {result.best.fitness!r}, "
-            f"{vector_stats['rows_vectorized']} rows vectorized "
-            f"({vector_stats['rows_fallback']} scalar fallbacks)"
-        )
-        if name == "vector" and vector_stats["rows_vectorized"] == 0:
-            print("FAIL: the vector engine never vectorized a row")
+    for optimizer in ("digamma", "random"):
+        outcomes = {}
+        for name, kwargs in (("vector", {}), ("fast", {"engine": "fast"})):
+            framework = CoOptimizationFramework(
+                model, get_platform("edge"), **kwargs
+            )
+            start = time.perf_counter()
+            result = framework.search(
+                get_optimizer(optimizer), sampling_budget=budget, seed=0
+            )
+            elapsed = time.perf_counter() - start
+            vector_stats = framework.evaluator.cost_model.vector_stats
+            outcomes[name] = result
+            print(
+                f"{optimizer:>7s} {name:>7s}: "
+                f"{result.evaluations / elapsed:8.0f} evals/s, "
+                f"best fitness {result.best.fitness!r}, "
+                f"{vector_stats['rows_vectorized']} rows vectorized "
+                f"({vector_stats['rows_fallback']} scalar fallbacks)"
+            )
+            if name == "vector" and vector_stats["rows_vectorized"] == 0:
+                print(f"FAIL: {optimizer}: the vector engine never vectorized a row")
+                return 1
+        if outcomes["vector"].best.fitness != outcomes["fast"].best.fitness:
+            print(f"FAIL: {optimizer}: vector and fast disagree on the search outcome")
             return 1
-    if outcomes["vector"].best.fitness != outcomes["fast"].best.fitness:
-        print("FAIL: vector and fast disagree on the search outcome")
-        return 1
-    if outcomes["vector"].history != outcomes["fast"].history:
-        print("FAIL: vector and fast followed different trajectories")
-        return 1
+        if outcomes["vector"].history != outcomes["fast"].history:
+            print(f"FAIL: {optimizer}: vector and fast followed different trajectories")
+            return 1
     print("OK: gene-matrix path is bit-identical to the scalar fast engine")
     return 0
 

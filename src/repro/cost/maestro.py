@@ -17,6 +17,12 @@ Two implementations of the per-layer analysis coexist:
 * the **reference path** (``engine="reference"``), the original dict-based
   analysis kept verbatim as ground truth for the bit-identical parity tests
   and as the baseline for the throughput benchmarks.
+
+Whole populations have one pricing path, :meth:`CostModel.evaluate_model_matrix`:
+packed gene rows, deduplicated by row bytes against the layer LRU (and the
+persistent tier), priced by the vector engine
+(:mod:`repro.cost.vector_engine`).  :meth:`CostModel.evaluate_model_batch`
+is a thin adapter that flattens a list of mappings onto it.
 """
 
 from __future__ import annotations
@@ -532,18 +538,15 @@ class CostModel:
         """Evaluate one model under many mappings in a single array pass.
 
         Each entry of ``mappings`` is a :class:`Mapping` or its raw
-        :meth:`Mapping.cache_key` parts (the genome encoding produces the
-        latter directly, skipping mapping construction).  The population
-        axis is packed into the vector engine: per-layer mapping keys are
-        built for every design (tile clipping vectorized against the
-        model's dimension matrix), deduplicated against the layer-report
-        cache *and* within the batch, and only the surviving unique rows
-        reach the arrays.  Results — reports, cache contents and hit/miss
-        counters — are identical to calling :meth:`evaluate_model` once per
-        mapping, except that at cache capacity the batch looks all its keys
-        up before inserting, so eviction-order effects on the *counters*
-        can differ; cached values themselves are pure functions of their
-        key either way.
+        :meth:`Mapping.cache_key` parts.  A thin adapter over the
+        population path: a uniform-depth batch whose genes fit int64 is
+        flattened into a gene matrix and priced by
+        :meth:`evaluate_model_matrix` (layer-cache and persistent-tier
+        reuse included).  Mixed-depth batches and genes beyond int64 are
+        priced uncached, row by (design, layer) row, through
+        :meth:`VectorEngine.evaluate_rows`, which groups rows by depth and
+        keeps the scalar fallbacks exact.  Reports are identical to calling
+        :meth:`evaluate_model` once per mapping either way.
         """
         if self.engine == "reference":
             return [
@@ -559,215 +562,53 @@ class CostModel:
             ]
         if noc_bandwidth <= 0 or dram_bandwidth <= 0:
             raise ValueError("bandwidths must be positive")
+        keys = [
+            mapping.cache_key() if isinstance(mapping, Mapping) else mapping
+            for mapping in mappings
+        ]
+        if not keys:
+            return []
+        if len({len(key) for key in keys}) == 1:
+            try:
+                matrix = np.array(
+                    [
+                        [
+                            gene
+                            for (spatial, parallel, order), tiles in key
+                            for gene in (spatial, parallel, *order, *tiles)
+                        ]
+                        for key in keys
+                    ],
+                    dtype=np.int64,
+                )
+            except OverflowError:
+                pass  # beyond int64: the row path's scalar fallback is exact
+            else:
+                return self.evaluate_model_matrix(
+                    model, matrix, noc_bandwidth, dram_bandwidth
+                )
         pairs = model_statics(model)
-        dims_matrix = _model_dims_matrix(model)
         engine = self.vector_engine()
-        layer_slots = [engine.statics_slot(statics) for _, statics in pairs]
-        slots_array = np.array(layer_slots, dtype=np.int64)
+        rows = []
+        for key in keys:
+            mapping = mapping_from_cache_key(key)
+            rows.extend(
+                (statics, layer_mapping_key(statics, mapping))
+                for _, statics in pairs
+            )
+        values = engine.evaluate_rows(rows, noc_bandwidth, dram_bandwidth)
+        num_layers = len(pairs)
         layer_names = tuple(layer.name for layer, _ in pairs)
         layer_counts = tuple(layer.count for layer, _ in pairs)
-        num_layers = len(pairs)
-        cache = self._cache
-        cache_on = cache.maxsize > 0
-        tier = cache.tier if cache_on else None
-        namespace = self._l2_namespace
-        maxsize = cache.maxsize
-        data = cache.data
-        hits = misses = 0
-        pending: Dict[tuple, int] = {}
-        pending_digests: Dict[tuple, bytes] = {}
-        rows: List[tuple] = []
-        row_design: List[int] = []
-        row_layer: List[int] = []
-        pack_depth: Optional[int] = None  # hierarchy depth of the batch
-        packable = True  # all designs uniform-depth with int64-safe genes
-        static_parts: List[tuple] = []
-        tiles_arrays: List[List[np.ndarray]] = []  # per level, per design
-        design_entries: List[List] = []
-        for design_index, mapping in enumerate(mappings):
-            parts = (
-                mapping.cache_key() if isinstance(mapping, Mapping) else mapping
+        return [
+            _assemble_performance(
+                model.name,
+                layer_names,
+                layer_counts,
+                tuple(values[base : base + num_layers]),
             )
-            depth = len(parts)
-            if pack_depth is None:
-                pack_depth = depth
-            clipped: Optional[List[np.ndarray]] = None
-            if depth == pack_depth and depth > 0:
-                try:
-                    clipped = []
-                    parent = dims_matrix
-                    for _, level_tiles in parts:
-                        level_clipped = np.minimum(
-                            np.array(level_tiles, dtype=np.int64), parent
-                        )
-                        clipped.append(level_clipped)
-                        parent = level_clipped
-                except OverflowError:
-                    clipped = None  # beyond int64; tuple path is exact
-            if clipped is not None:
-                statics_list = [static for static, _ in parts]
-                clipped_tiles = [
-                    list(map(tuple, level_clipped.tolist()))
-                    for level_clipped in clipped
-                ]
-                keys = [
-                    tuple(
-                        (statics_list[level], clipped_tiles[level][layer])
-                        for level in range(depth)
-                    )
-                    for layer in range(num_layers)
-                ]
-                static_flat: tuple = ()
-                for static in statics_list:
-                    static_flat += static[:2] + static[2]
-                static_parts.append(static_flat)
-                while len(tiles_arrays) < depth:
-                    tiles_arrays.append([])
-                for level in range(depth):
-                    tiles_arrays[level].append(clipped[level])
-            else:
-                if not isinstance(mapping, Mapping):
-                    mapping = mapping_from_cache_key(parts)
-                keys = [
-                    layer_mapping_key(statics, mapping) for _, statics in pairs
-                ]
-                packable = False
-            per_design: List = []
-            for layer_index, ((_, statics), key) in enumerate(zip(pairs, keys)):
-                cache_key = (statics, key, noc_bandwidth, dram_bandwidth)
-                if cache_on:
-                    entry = data.get(cache_key)
-                    if entry is not None:
-                        hits += 1
-                        per_design.append(entry)
-                        continue
-                row_index = pending.get(cache_key)
-                if row_index is None:
-                    if tier is not None:
-                        digest = tuple_key_digest(
-                            namespace, statics, key,
-                            noc_bandwidth, dram_bandwidth,
-                        )
-                        entry = tier.get(digest)
-                        if entry is not None:
-                            # Served from the persistent tier: counts as
-                            # an L1 miss (same counters as a cold run) and
-                            # enters L1 so later occurrences hit in-memory.
-                            misses += 1
-                            data[cache_key] = entry
-                            if len(data) > maxsize:
-                                data.popitem(last=False)
-                            per_design.append(entry)
-                            continue
-                        pending_digests[cache_key] = digest
-                    row_index = len(rows)
-                    rows.append((statics, key))
-                    row_design.append(design_index)
-                    row_layer.append(layer_index)
-                    pending[cache_key] = row_index
-                    if cache_on:
-                        misses += 1
-                elif cache_on:
-                    # Sequential evaluation would have cached the first
-                    # occurrence by now, so this lookup counts as a hit.
-                    hits += 1
-                per_design.append(row_index)
-            design_entries.append(per_design)
-
-        values: List[tuple] = []
-        if rows:
-            layer_index = np.array(row_layer, dtype=np.int64)
-            if packable:
-                values = self._evaluate_rows_packed(
-                    engine,
-                    rows,
-                    static_parts,
-                    tiles_arrays,
-                    np.array(row_design, dtype=np.int64),
-                    layer_index,
-                    slots_array,
-                    num_layers,
-                    noc_bandwidth,
-                    dram_bandwidth,
-                )
-            else:
-                values = engine.evaluate_rows(
-                    rows,
-                    noc_bandwidth,
-                    dram_bandwidth,
-                    slots=[layer_slots[layer] for layer in row_layer],
-                )
-        if cache_on:
-            for cache_key, row_index in pending.items():
-                row_values = values[row_index]
-                data[cache_key] = row_values
-                if len(data) > maxsize:
-                    data.popitem(last=False)
-                if tier is not None:
-                    tier.put(pending_digests[cache_key], row_values)
-            cache.hits += hits
-            cache.misses += misses
-            if tier is not None:
-                tier.flush()
-
-        performances: List[ModelPerformance] = []
-        for per_design in design_entries:
-            resolved = tuple(
-                values[entry] if type(entry) is int else entry
-                for entry in per_design
-            )
-            performances.append(
-                _assemble_performance(
-                    model.name, layer_names, layer_counts, resolved
-                )
-            )
-        return performances
-
-    @staticmethod
-    def _evaluate_rows_packed(
-        engine: VectorEngine,
-        rows: List[tuple],
-        static_parts: List[tuple],
-        tiles_arrays: List[List[np.ndarray]],
-        row_design: np.ndarray,
-        row_layer: np.ndarray,
-        layer_slots: np.ndarray,
-        num_layers: int,
-        noc_bandwidth: float,
-        dram_bandwidth: float,
-    ) -> List[tuple]:
-        """Assemble the engine's gene matrix with array gathers and run it.
-
-        The per-level clipped tile arrays and per-design static parts
-        already exist from key building, so the per-row work reduces to two
-        fancy-indexed copies per hierarchy level instead of re-flattening
-        every key tuple.
-        """
-        try:
-            statics_matrix = np.array(static_parts, dtype=np.int64)
-        except OverflowError:
-            return engine.evaluate_rows(
-                rows,
-                noc_bandwidth,
-                dram_bandwidth,
-                slots=layer_slots[row_layer].tolist(),
-            )
-        depth = len(tiles_arrays)
-        tiles = [np.stack(arrays).reshape(-1, 6) for arrays in tiles_arrays]
-        row_position = row_design * num_layers + row_layer
-        matrix = np.empty((len(rows), GENES_PER_LEVEL * depth), dtype=np.int64)
-        gathered = statics_matrix[row_design]
-        for level in range(depth):
-            base = level * GENES_PER_LEVEL
-            matrix[:, base:base + 8] = gathered[:, 8 * level:8 * level + 8]
-            matrix[:, base + 8:base + 14] = tiles[level][row_position]
-        return engine.evaluate_packed(
-            rows,
-            matrix,
-            layer_slots[row_layer],
-            noc_bandwidth,
-            dram_bandwidth,
-        )
+            for base in range(0, len(values), num_layers)
+        ]
 
     def __getstate__(self) -> dict:
         # Worker processes re-derive engine state lazily.
@@ -794,7 +635,9 @@ class CostModel:
         against the model's dimension matrix, no per-member tuple
         construction — and deduplicated by raw row bytes before anything
         touches a Python dict.  Results are bit-identical to
-        :meth:`evaluate_model_batch` on the rows' cache keys.
+        :meth:`evaluate_model` on each row's mapping; this is the one
+        population pricing path (:meth:`evaluate_model_batch` adapts
+        mapping lists onto it).
         """
         if self.engine == "reference":
             raise ValueError(

@@ -62,6 +62,8 @@ import warnings
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from repro.durable import replace_atomically
+
 #: Bump when the digest composition or the record layout changes; stores
 #: written under another version are quarantined, never reinterpreted.
 KEY_VERSION = 1
@@ -514,22 +516,7 @@ class PersistentLayerCache:
         ]
         for digest, (offset, length) in entries.items():
             pieces.append(_INDEX_RECORD.pack(digest, offset, length))
-        data = b"".join(pieces)
-        # Writers sharing the directory each stage their own temp file.
-        replacement = self.index_path.with_name(
-            f"{INDEX_FILE}.{os.getpid()}-{id(self):x}.tmp"
-        )
-        descriptor = os.open(
-            replacement, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
-        )
-        try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(descriptor, view) :]
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
-        os.replace(replacement, self.index_path)
+        replace_atomically(self.index_path, b"".join(pieces))
 
     def _scan_tail(self) -> None:
         """Index records appended past :attr:`_covered` (by any writer)."""

@@ -167,18 +167,17 @@ class VectorEngine:
         rows: Sequence[Row],
         noc_bandwidth: float,
         dram_bandwidth: float,
-        slots: Optional[Sequence[int]] = None,
     ) -> List[tuple]:
         """Evaluate every (statics, key) row; returns report value tuples.
 
         The tuples follow :func:`repro.cost.engine.report_values` field
         order, so they drop straight into the layer-report cache and are
-        reconstituted per layer with ``make_report``.  ``slots`` optionally
-        carries precomputed :meth:`statics_slot` values parallel to
-        ``rows``.  Handles any hierarchy depth: mixed-depth batches are
-        grouped by depth and each group rides the array pipeline.  The
-        batch path uses :meth:`evaluate_packed` instead, which skips the
-        per-row flattening done here.
+        reconstituted per layer with ``make_report``.  Handles any
+        hierarchy depth: mixed-depth batches are grouped by depth and each
+        group rides the array pipeline.  The gene-matrix path uses
+        :meth:`evaluate_packed` instead, which skips the per-row flattening
+        done here; this entry serves the batches it cannot pack (mixed
+        depths, genes beyond int64).
         """
         count = len(rows)
         values: List[Optional[tuple]] = [None] * count
@@ -191,10 +190,7 @@ class VectorEngine:
                     statics, key, noc_bandwidth, dram_bandwidth, "depth"
                 )
                 continue
-            slot = (
-                slots[position] if slots is not None
-                else self._statics_slot(statics)
-            )
+            slot = self._statics_slot(statics)
             if not statics_rows[slot][8]:
                 values[position] = self._scalar_values(
                     statics, key, noc_bandwidth, dram_bandwidth,

@@ -65,10 +65,20 @@ class GenomeMatrix:
 
     @classmethod
     def from_genomes(cls, genomes: Sequence[Genome]) -> "GenomeMatrix":
-        """Pack a genome population into a matrix (genomes must be valid)."""
+        """Pack a genome population into a matrix (genomes must be valid).
+
+        Every genome must have the same hierarchy depth: a matrix has one
+        row width.
+        """
         if not genomes:
             raise ValueError("cannot pack an empty population")
-        num_levels = genomes[0].num_levels
+        depths = sorted({genome.num_levels for genome in genomes})
+        if len(depths) > 1:
+            raise ValueError(
+                f"cannot pack genomes of mixed hierarchy depths {depths} "
+                "into one gene matrix"
+            )
+        num_levels = depths[0]
         data = np.array(
             [genome_to_genes(genome) for genome in genomes], dtype=np.int64
         )

@@ -116,10 +116,9 @@ def run_crosscheck(
     rng = np.random.default_rng(seed)
     genomes = space.random_population(designs, rng)
     matrix = repaired_matrix(GenomeMatrix.from_genomes(genomes), space)
-    sample = matrix.to_genomes()
 
     results = {
-        backend: evaluator.evaluate_population(sample, workers=1)
+        backend: evaluator.evaluate_matrix(matrix, workers=1)
         for backend, evaluator in evaluators.items()
     }
     values = {

@@ -45,6 +45,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.durable import replace_atomically
 from repro.experiments.faults import SweepAborted
 from repro.experiments.jobs import (
     BACKENDS,
@@ -340,19 +341,9 @@ class ResultStore:
         good, corrupt = self._scan()
         if corrupt:
             self._quarantine(corrupt)
-            replacement = self.path.with_name(self.path.name + ".repair")
-            data = "".join(line + "\n" for _, line, _ in good).encode()
-            descriptor = os.open(
-                replacement, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
+            replace_atomically(
+                self.path, "".join(line + "\n" for _, line, _ in good).encode()
             )
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(descriptor, view) :]
-                os.fsync(descriptor)
-            finally:
-                os.close(descriptor)
-            os.replace(replacement, self.path)
         return {
             "path": str(self.path),
             "records": len(good),

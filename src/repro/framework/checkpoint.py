@@ -27,12 +27,14 @@ resume stays bit-identical while checkpoints stay small — that is the
 
 Durability follows the ``ResultStore`` / ``PersistentLayerCache``
 discipline: a checkpoint is one JSON payload behind a versioned header
-carrying its SHA-1 digest, written to a temporary file, fsynced and
-atomically ``os.replace``d into place — a crash mid-save leaves the previous
-checkpoint intact.  Loads verify format, version and digest; anything wrong
-quarantines the file to ``<name>.corrupt`` with a
-:class:`CheckpointCorruption` warning and the search starts fresh — a
-corrupt checkpoint can cost progress, never correctness.
+carrying its SHA-1 digest, written to a temporary file of its own, fsynced
+and atomically ``os.replace``d into place
+(:func:`repro.durable.replace_atomically`) — a crash mid-save leaves the
+previous checkpoint intact, and concurrent saves of one key never collide.
+Loads verify format, version and digest; anything wrong quarantines the
+file to ``<name>.corrupt`` with a :class:`CheckpointCorruption` warning and
+the search starts fresh — a corrupt checkpoint can cost progress, never
+correctness.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
+from repro.durable import replace_atomically
 from repro.encoding.genome_matrix import LEVEL_WIDTH, row_to_genome
 from repro.framework.evaluator import EvaluationResult
 from repro.framework.pareto import ParetoArchive
@@ -194,18 +197,7 @@ class CheckpointStore:
         ).encode()
         data = header + b"\n" + payload + b"\n"
         self.directory.mkdir(parents=True, exist_ok=True)
-        staging = self.path.with_name(self.path.name + ".tmp")
-        descriptor = os.open(
-            staging, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
-        )
-        try:
-            view = memoryview(data)
-            while view:  # short writes must not tear the staging file
-                view = view[os.write(descriptor, view) :]
-            os.fsync(descriptor)
-        finally:
-            os.close(descriptor)
-        os.replace(staging, self.path)
+        replace_atomically(self.path, data)
 
     def load(self) -> Optional[SearchCheckpoint]:
         """The stored checkpoint, or ``None`` (missing *or* quarantined).

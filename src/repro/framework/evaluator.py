@@ -32,11 +32,7 @@ from repro.encoding.genome_matrix import (
     row_to_genome,
 )
 from repro.framework.constraints import ConstraintChecker
-from repro.framework.designpoint import (
-    AcceleratorDesign,
-    LazyMappingDesign,
-    LazyRowMappingDesign,
-)
+from repro.framework.designpoint import AcceleratorDesign, LazyRowMappingDesign
 from repro.framework.objective import Objective, ObjectiveSet, objective_value
 from repro.mapping.mapping import Mapping
 from repro.workloads.layer import Layer
@@ -78,36 +74,16 @@ def _init_worker(evaluator: "DesignEvaluator") -> None:
     _WORKER_EVALUATOR = evaluator
 
 
-def _evaluate_in_worker(genome: Genome) -> "EvaluationResult":
-    """Evaluate one genome in a worker process (pool map target)."""
-    return _WORKER_EVALUATOR.evaluate_genome(genome)
+def _evaluate_matrix_in_worker(matrix: GenomeMatrix) -> List["EvaluationResult"]:
+    """Evaluate a gene-matrix chunk in a worker process (pool map target).
 
-
-def _fire_worker_faults() -> None:
-    """Chaos hook: let an installed fault plan kill this worker process.
-
-    The plan travels into the worker pickled inside the evaluator (see
-    ``_init_worker``); outside fault-injection runs ``fault_plan`` is None
-    and this is a no-op attribute check.
+    Chaos hook first: an installed fault plan (pickled into the worker
+    inside the evaluator, see ``_init_worker``) may kill this worker
+    process; outside fault-injection runs ``fault_plan`` is None.
     """
     plan = getattr(_WORKER_EVALUATOR, "fault_plan", None)
     if plan is not None:
         plan.on_worker_chunk()
-
-
-def _evaluate_batch_in_worker(genomes: List[Genome]) -> List["EvaluationResult"]:
-    """Evaluate a population chunk in a worker process (pool map target).
-
-    Chunks go through the worker evaluator's own in-process population
-    path, so the vector engine runs inside each worker.
-    """
-    _fire_worker_faults()
-    return _WORKER_EVALUATOR.evaluate_population(genomes, workers=1)
-
-
-def _evaluate_matrix_in_worker(matrix: GenomeMatrix) -> List["EvaluationResult"]:
-    """Evaluate a gene-matrix chunk in a worker process (pool map target)."""
-    _fire_worker_faults()
     return _WORKER_EVALUATOR.evaluate_matrix(matrix, workers=1)
 
 
@@ -202,6 +178,11 @@ def _with_row_genome(
 class DesignEvaluator:
     """Decodes and scores design points for one model on one platform.
 
+    Single design points go through :meth:`evaluate_genome` (or
+    :meth:`evaluate_mapping`); whole populations have exactly one pricing
+    path, :meth:`evaluate_matrix`, which :meth:`evaluate_population` feeds
+    from a genome list.
+
     Parameters
     ----------
     model:
@@ -227,12 +208,13 @@ class DesignEvaluator:
         behind bounded LRU caches.  Results are bit-identical either way;
         the flag exists for benchmarking and debugging (``--no-cache``).
     workers:
-        Default process-pool width for :meth:`evaluate_population`.
-        ``None``/``1`` evaluates sequentially in-process.
+        Default process-pool width for :meth:`evaluate_matrix` (and its
+        genome-list view :meth:`evaluate_population`).  ``None``/``1``
+        evaluates sequentially in-process.
     engine:
-        Evaluation-engine selector.  ``"vector"`` (default) batches whole
-        populations through the NumPy structure-of-arrays engine
-        (:mod:`repro.cost.vector_engine`) and falls back to the scalar fast
+        Evaluation-engine selector.  ``"vector"`` (default) prices whole
+        gene-matrix populations through the NumPy structure-of-arrays
+        engine (:mod:`repro.cost.vector_engine`) and uses the scalar fast
         engine for single evaluations; ``"fast"`` is the scalar tuple-based
         engine; ``"reference"`` is the seed implementation kept for parity
         tests and baseline benchmarks.  All three are bit-identical.
@@ -390,111 +372,17 @@ class DesignEvaluator:
         genomes: Sequence[Genome],
         workers: Optional[int] = None,
     ) -> List[EvaluationResult]:
-        """Score a whole population in one call, preserving input order.
+        """Score a list of *repaired* genomes in one call, preserving order.
 
-        With ``engine="vector"`` (the default) the population is the
-        vectorization axis: design-cache misses are deduplicated and their
-        per-layer costs evaluated in one NumPy pass.  ``workers`` (default:
-        the evaluator's ``workers`` setting) selects an optional process
-        pool, which ships contiguous population chunks so each worker runs
-        the vector engine on its slice.  Results are bit-identical to
-        evaluating the same genomes one by one, because every evaluation is
-        a pure function of its genome.
+        The genome-list view of :meth:`evaluate_matrix`: the population is
+        packed into a :class:`~repro.encoding.genome_matrix.GenomeMatrix`
+        (all genomes must share one hierarchy depth) and priced through the
+        one population path, so results are bit-identical to evaluating
+        the same genomes one by one.  ``workers`` is forwarded unchanged.
         """
-        genomes = list(genomes)
-        width = self.workers if workers is None else workers
-        if (
-            width is not None
-            and width > 1
-            and len(genomes) > 1
-            and not self._pool_degraded
-        ):
-            chunk = -(-len(genomes) // width)
-            chunks = [
-                genomes[start : start + chunk]
-                for start in range(0, len(genomes), chunk)
-            ]
-            batches = self._map_chunks(
-                _evaluate_batch_in_worker,
-                chunks,
-                width,
-                lambda piece: self.evaluate_population(piece, workers=1),
-            )
-            return [result for batch in batches for result in batch]
-        if (
-            self.engine == "vector"
-            and self.backend == "analytic"
-            and len(genomes) > 1
-        ):
-            return self._evaluate_population_vector(genomes)
-        return [self.evaluate_genome(genome) for genome in genomes]
-
-    def _evaluate_population_vector(
-        self, genomes: List[Genome]
-    ) -> List[EvaluationResult]:
-        """The in-process population path of the vector engine.
-
-        Mirrors ``[self.evaluate_genome(g) for g in genomes]`` including the
-        design-cache counters: duplicates of an uncached genome count as
-        hits, exactly as they would once the sequential loop had cached the
-        first occurrence.
-        """
-        cache = self._design_cache
-        count = len(genomes)
-        results: List[Optional[EvaluationResult]] = [None] * count
-        slots: List[Optional[int]] = [None] * count
-        pending: dict = {}
-        miss_genomes: List[Genome] = []
-        miss_keys: List[tuple] = []
-        for position, genome in enumerate(genomes):
-            key = genome.cache_key()
-            slot = pending.get(key)
-            if slot is not None:
-                if cache.maxsize > 0:
-                    cache.hits += 1
-                slots[position] = slot
-                continue
-            result = cache.get(key)
-            if result is not None:
-                results[position] = _with_genome(result, genome)
-                continue
-            pending[key] = len(miss_genomes)
-            slots[position] = len(miss_genomes)
-            miss_genomes.append(genome)
-            miss_keys.append(key)
-
-        if miss_genomes:
-            # Loop orders are validated here (to_mapping would reject them
-            # on the scalar path); everything else in the cache key is
-            # already in clamped index form, so the cost model consumes the
-            # keys directly and mappings materialize lazily on the results.
-            for key in miss_keys:
-                for (_, _, order), _ in key:
-                    if len(order) != 6 or len(set(order)) != 6:
-                        raise ValueError(
-                            f"order must be a permutation of all dims, got {order}"
-                        )
-            performances = self.cost_model.evaluate_model_batch(
-                self.model,
-                miss_keys,
-                noc_bandwidth=self.platform.noc_bandwidth,
-                dram_bandwidth=self.platform.dram_bandwidth,
-            )
-            miss_results: List[EvaluationResult] = []
-            for key, performance in zip(miss_keys, performances):
-                result = self._score_performance(
-                    performance,
-                    pe_array=tuple(part[0][0] for part in key),
-                    mapping_key=key,
-                )
-                cache.put(key, result)
-                miss_results.append(result)
-            for position, slot in enumerate(slots):
-                if slot is not None:
-                    results[position] = _with_genome(
-                        miss_results[slot], genomes[position]
-                    )
-        return results
+        if not genomes:
+            return []
+        return self.evaluate_matrix(GenomeMatrix.from_genomes(genomes), workers)
 
     # -- gene-matrix population path ---------------------------------------
 
@@ -531,21 +419,15 @@ class DesignEvaluator:
                 GenomeMatrix(matrix.data[start : start + chunk], matrix.num_levels)
                 for start in range(0, count, chunk)
             ]
-            batches = self._map_chunks(
-                _evaluate_matrix_in_worker,
-                chunks,
-                width,
-                lambda piece: self.evaluate_matrix(piece, workers=1),
-            )
+            batches = self._map_chunks(chunks, width)
             return [result for batch in batches for result in batch]
         if self.engine != "vector" or self.backend != "analytic":
-            # The scalar engines (and non-analytic backends) take the
-            # genome path; under the analytic backend values are
-            # bit-identical, so matrix-native search loops stay exact under
-            # every engine selector.  Hierarchy depth is no gate: the
-            # vector path prices 1-, 2- and 3+-level matrices natively.
-            genomes = matrix.to_genomes()
-            return self.evaluate_population(genomes, workers=1)
+            # The scalar engines (and non-analytic backends) price member by
+            # member; under the analytic backend values are bit-identical,
+            # so matrix-native search loops stay exact under every engine
+            # selector.  Hierarchy depth is no gate: the vector path prices
+            # 1-, 2- and 3+-level matrices natively.
+            return [self.evaluate_genome(genome) for genome in matrix.to_genomes()]
         return self._evaluate_matrix_vector(matrix)
 
     def _evaluate_matrix_vector(
@@ -744,38 +626,34 @@ class DesignEvaluator:
         self.cost_model.cache_clear()
 
     def _map_chunks(
-        self,
-        worker_fn: Callable,
-        chunks: List,
-        width: int,
-        local_fn: Callable,
+        self, chunks: List[GenomeMatrix], width: int
     ) -> List[List[EvaluationResult]]:
-        """Map deterministic chunks over the pool, surviving dead workers.
+        """Map deterministic matrix chunks over the pool, surviving dead workers.
 
         ``pool.map`` yields chunk results in input order, so when a worker
         dies (OOM-killer, segfault, injected ``kill-worker`` fault) and the
         iteration raises :class:`BrokenProcessPool`, every chunk already
         yielded is kept and exactly the undelivered chunks are re-dispatched
         — against a respawned pool while the lifetime restart budget
-        (:attr:`max_pool_restarts`) lasts, and in-process through
-        ``local_fn`` once it is spent (:attr:`_pool_degraded` then stays
-        set, so later population calls skip the pool entirely).  The chunk
-        boundaries never change across re-dispatches and every evaluation
-        is a pure function of its genome, so results are bit-identical to
-        an undisturbed pool run.
+        (:attr:`max_pool_restarts`) lasts, and in-process once it is spent
+        (:attr:`_pool_degraded` then stays set, so later population calls
+        skip the pool entirely).  The chunk boundaries never change across
+        re-dispatches and every evaluation is a pure function of its genes,
+        so results are bit-identical to an undisturbed pool run.
         """
         outputs: List[Optional[List[EvaluationResult]]] = [None] * len(chunks)
         pending = list(range(len(chunks)))
         while pending:
             if self._pool_degraded:
                 for index in pending:
-                    outputs[index] = local_fn(chunks[index])
+                    outputs[index] = self.evaluate_matrix(chunks[index], workers=1)
                 break
             pool = self._ensure_pool(width)
             try:
                 cursor = 0
                 for batch in pool.map(
-                    worker_fn, [chunks[index] for index in pending]
+                    _evaluate_matrix_in_worker,
+                    [chunks[index] for index in pending],
                 ):
                     outputs[pending[cursor]] = batch
                     cursor += 1
@@ -895,16 +773,14 @@ class DesignEvaluator:
         performance: ModelPerformance,
         pe_array: tuple,
         design_mapping: Optional[Mapping] = None,
-        mapping_key: Optional[tuple] = None,
         mapping_fingerprint: Optional[bytes] = None,
     ) -> EvaluationResult:
         """Turn a cost-model report into a scored design point.
 
-        The design's mapping comes eagerly (``design_mapping``), as a cache
-        key (``mapping_key``), or as a gene-row fingerprint
-        (``mapping_fingerprint``); the last two rebuild the mapping lazily
-        on first access (the batch paths, where almost no mapping is ever
-        inspected).
+        The design's mapping comes eagerly (``design_mapping``) or as a
+        gene-row fingerprint (``mapping_fingerprint``), which rebuilds the
+        mapping lazily on first access (the matrix path, where almost no
+        mapping is ever inspected).
         """
         hardware = self._derive_hardware(performance, pe_array=pe_array)
         area = self.area_model.breakdown(hardware)
@@ -928,13 +804,9 @@ class DesignEvaluator:
                 performance=performance,
                 area=area,
             )
-        elif mapping_fingerprint is not None:
+        else:
             design = LazyRowMappingDesign.build(
                 hardware, mapping_fingerprint, performance, area
-            )
-        else:
-            design = LazyMappingDesign.build(
-                hardware, mapping_key, performance, area
             )
         return EvaluationResult(
             fitness=fitness,

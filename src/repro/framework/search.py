@@ -133,20 +133,16 @@ class SearchTracker:
         """Batched view returning full results instead of scalar fitnesses.
 
         Multi-objective algorithms need the per-objective vectors (and the
-        decoded designs) of a whole generation; this is the same batched
-        fast path as :meth:`evaluate_batch` — one evaluator call, identical
-        budget/bookkeeping semantics — just without collapsing each result
-        to its scalar fitness.
+        decoded designs) of a whole generation.  The genome list is packed
+        into a gene matrix and rides :meth:`evaluate_matrix_results` —
+        identical budget/bookkeeping semantics and one vectorized repair
+        pass — just without collapsing each result to its scalar fitness.
         """
         batch = list(genomes)[: self.remaining]
-        repaired = [repaired_copy(genome, self.space) for genome in batch]
-        results = self.evaluator.evaluate_population(repaired)
-        self.batch_calls += 1
-        self.batched_evaluations += len(results)
-        for result in results:
-            self.evaluations += 1
-            self._record(result)
-        return results
+        if not batch:
+            self.batch_calls += 1
+            return []
+        return self.evaluate_matrix_results(GenomeMatrix.from_genomes(batch))
 
     def evaluate_matrix(self, matrix: GenomeMatrix) -> List[float]:
         """Evaluate a gene-matrix population in one call; returns fitnesses.

@@ -116,16 +116,6 @@ class TestBatchMatchesScalar:
         assert batch_model.cache_stats.misses == scalar_model.cache_stats.misses
         assert batch_model.cache_stats.size == scalar_model.cache_stats.size
 
-    def test_batch_warms_the_cache_for_the_scalar_path(self):
-        model = get_model("ncf")
-        mappings = _random_mappings(model, 5, seed=9)
-        cost_model = CostModel()
-        cost_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
-        before = cost_model.cache_stats
-        cost_model.evaluate_model(model, mappings[0], 64.0, 16.0)
-        after = cost_model.cache_stats
-        assert after.hits - before.hits == len(model.unique_layers())
-
 
 class TestScalarFallbacks:
     @pytest.mark.parametrize("num_levels", [1, 3])

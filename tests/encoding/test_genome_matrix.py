@@ -75,6 +75,12 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             GenomeMatrix.from_genomes([])
 
+    def test_mixed_depths_are_rejected_by_name(self):
+        genomes = _population(_space(num_levels=2), 2, seed=3)
+        genomes += _population(_space(num_levels=3), 1, seed=4)
+        with pytest.raises(ValueError, match=r"mixed hierarchy depths \[2, 3\]"):
+            GenomeMatrix.from_genomes(genomes)
+
 
 class TestRepairParity:
     @pytest.mark.parametrize("fixed", [None, (8, 16)], ids=["free-hw", "fixed-hw"])

@@ -112,6 +112,16 @@ class TestBatchedVsSequential:
         assert tracker.exhausted
         assert tracker.evaluate_batch(genomes) == []
 
+    def test_empty_populations_return_empty(self, resnet18):
+        evaluator = DesignEvaluator(model=resnet18, platform=EDGE)
+        tracker = SearchTracker(
+            evaluator, evaluator.genome_space(), sampling_budget=5
+        )
+        assert evaluator.evaluate_population([]) == []
+        assert tracker.evaluate_batch([]) == []
+        assert tracker.batch_calls == 1
+        assert tracker.evaluations == 0
+
     def test_vector_batch_matches_vector_loop(self, resnet18):
         make = lambda: SearchTracker(
             DesignEvaluator(model=resnet18, platform=EDGE),
@@ -220,7 +230,7 @@ class TestVectorEngineParity:
         with pytest.raises(ValueError):
             DesignEvaluator(model=resnet18, platform=EDGE, engine="warp")
 
-    @pytest.mark.parametrize("optimizer_name", ["digamma", "de", "pso"])
+    @pytest.mark.parametrize("optimizer_name", ["digamma", "de", "pso", "random"])
     def test_search_trajectories_identical_across_engines(
         self, resnet18, optimizer_name
     ):

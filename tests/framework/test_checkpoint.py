@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -106,6 +109,61 @@ class TestCheckpointStore:
         store.save(make_checkpoint(generation=1))
         store.save(make_checkpoint(generation=2))
         assert store.load().generation == 2
+
+    def test_interleaved_saves_of_one_key_both_succeed(
+        self, tmp_path, monkeypatch
+    ):
+        # A timed-out attempt keeps saving on its daemon thread under the
+        # same job key as its retry; here the retry's save lands inside the
+        # first save's fsync.
+        first = CheckpointStore(tmp_path, "job")
+        second = CheckpointStore(tmp_path, "job")
+        real_fsync = os.fsync
+        pending = [second]
+
+        def fsync(descriptor):
+            if pending:
+                pending.pop().save(make_checkpoint(generation=2))
+            return real_fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        first.save(make_checkpoint(generation=1))
+        assert not pending  # the interleaving really happened
+        monkeypatch.undo()
+        # The outer save replaces last, and its checkpoint is complete.
+        assert second.load() == make_checkpoint(generation=1)
+        assert not first.corrupt_path.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_threads_saving_one_key_all_succeed(self, tmp_path):
+        errors = []
+
+        def saver(generation):
+            store = CheckpointStore(tmp_path, "job")
+            try:
+                for _ in range(20):
+                    store.save(make_checkpoint(generation=generation))
+            except Exception as error:  # collected, asserted below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=saver, args=(generation,))
+            for generation in range(1, 9)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        loaded = CheckpointStore(tmp_path, "job").load()
+        assert loaded is not None and 1 <= loaded.generation <= 8
+        assert list(tmp_path.glob("*.tmp")) == []
 
     @pytest.mark.parametrize(
         "damage",

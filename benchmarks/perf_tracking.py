@@ -7,8 +7,9 @@ Measures, on this machine:
   gene-matrix population data path, the scalar engines with and without
   memoization, and the seed reference path — reporting the speedups the
   repository's perf work must not regress, and
-* cold-vs-warm search throughput over a persistent cache directory
-  (``repro.cost.persist``), with the counter-verified warm L2 hit rate.
+* cold-vs-warm CMA search throughput over a persistent cache directory
+  (``repro.cost.persist``, which serves per-design pricing only), with
+  the counter-verified warm L2 hit rate.
 
 The medians of several interleaved repetitions are written to
 ``BENCH_cost_model.json`` at the repository root so the performance
@@ -198,9 +199,10 @@ def bench_three_level(budget: int, reps: int, seed: int = 0) -> dict:
 def bench_warm_cache(budget: int, reps: int, seed: int = 0) -> dict:
     """Cold vs warm search throughput over a persistent cache directory.
 
-    Each repetition runs the default data path twice against one fresh
-    ``cache_dir``: cold (every layer row priced by the engine and written
-    back) then warm (rows answered from the on-disk tier).  The warm L2
+    Each repetition runs a CMA search — per-design pricing, the only path
+    the tier serves — twice against one fresh ``cache_dir``: cold (every
+    layer row priced by the engine and written back) then warm (rows
+    answered from the on-disk tier).  The warm L2
     hit rate is counter-verified — never inferred from timing — and both
     phases must land on a bit-identical best fitness: the persistent
     cache is an accelerator, not an oracle allowed to change results.
@@ -223,7 +225,7 @@ def bench_warm_cache(budget: int, reps: int, seed: int = 0) -> dict:
                 try:
                     start = time.perf_counter()
                     result = framework.search(
-                        get_optimizer("digamma"), sampling_budget=budget, seed=seed
+                        get_optimizer("cma"), sampling_budget=budget, seed=seed
                     )
                     elapsed = time.perf_counter() - start
                     counters = framework.evaluator.persistent_cache.counters()
@@ -243,6 +245,7 @@ def bench_warm_cache(budget: int, reps: int, seed: int = 0) -> dict:
         name: round(max(values), 1) for name, values in samples.items()
     }
     return {
+        "optimizer": "cma",
         "budget": budget,
         "reps": reps,
         "evals_per_second": throughput,

@@ -28,9 +28,9 @@ BACKENDS = ("analytic", "zigzag")
 class CostBackend(Protocol):
     """What the evaluator and sweep runner require of a cost model.
 
-    Both :class:`repro.cost.maestro.CostModel` (``analytic``) and
-    :class:`repro.cost.zigzag.ZigZagCostModel` (``zigzag``) satisfy this
-    structurally; no inheritance is involved.
+    :class:`repro.cost.maestro.CostModel` (``analytic``) satisfies this,
+    and :class:`repro.cost.zigzag.ZigZagCostModel` (``zigzag``) inherits
+    it, replacing only the per-layer pricing function.
     """
 
     bytes_per_element: int
@@ -98,10 +98,10 @@ def create_backend(
             engine=engine,
         )
     if name == "zigzag":
+        # A single engine: the analytic ``engine`` selector does not apply.
         return ZigZagCostModel(
             energy_model=energy_model,
             bytes_per_element=bytes_per_element,
             cache_size=cache_size,
-            engine=engine,
         )
     raise ValueError(f"backend must be one of {BACKENDS}, got {name!r}")

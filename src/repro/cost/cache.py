@@ -101,9 +101,10 @@ class LRUCache:
         #: Optional persistent L2 tier
         #: (:class:`~repro.cost.persist.PersistentLayerCache`).  It rides
         #: on the cache instance so ``adopt_cache`` hands the shared tier
-        #: to every adopter along with the L1 contents; the cost models
-        #: probe it on L1 misses and write freshly priced rows back.
-        #: ``None`` keeps every lookup purely in-memory.
+        #: to every adopter along with the L1 contents; per-design pricing
+        #: probes it on L1 misses and writes freshly priced rows back (the
+        #: gene-matrix path never does).  ``None`` keeps every lookup
+        #: purely in-memory.
         self.tier: Optional[Any] = None
 
     @property
@@ -152,13 +153,12 @@ class LRUCache:
         )
 
     # Cache *contents* never travel across process boundaries (e.g. into
-    # evaluation worker processes): pickling preserves the bound and the
-    # persistent tier (which re-opens by path on the other side, so pool
-    # workers share the on-disk store), not the in-memory entries.
+    # evaluation worker processes): pickling preserves only the bound.
+    # The persistent tier stays in the owning process; pool workers price
+    # without it.
 
     def __getstate__(self) -> Dict[str, Any]:
-        return {"maxsize": self.maxsize, "tier": self.tier}
+        return {"maxsize": self.maxsize}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__init__(state["maxsize"])
-        self.tier = state.get("tier")

@@ -19,16 +19,29 @@ Two implementations of the per-layer analysis coexist:
   and as the baseline for the throughput benchmarks.
 
 Whole populations have one pricing path, :meth:`CostModel.evaluate_model_matrix`:
-packed gene rows, deduplicated by row bytes against the layer LRU (and the
-persistent tier), priced by the vector engine
-(:mod:`repro.cost.vector_engine`).  :meth:`CostModel.evaluate_model_batch`
-is a thin adapter that flattens a list of mappings onto it.
+packed gene rows, deduplicated by row bytes against the layer LRU, priced
+by the vector engine (:mod:`repro.cost.vector_engine`).
+:meth:`CostModel.evaluate_model_batch` is a thin adapter that flattens a
+list of mappings onto it.  Single designs go through one tiered loop —
+layer LRU, then the persistent on-disk tier (:mod:`repro.cost.persist`),
+then the per-layer pricing function — that every cost backend shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping as TMapping, Optional, Sequence, Union
+from typing import (
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Mapping as TMapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -44,8 +57,6 @@ from repro.cost.engine import (
 from repro.cost.persist import (
     PersistentLayerCache,
     cache_namespace,
-    matrix_row_digest,
-    statics_blob,
     tuple_key_digest,
 )
 from repro.cost.vector_engine import GENES_PER_LEVEL, VectorEngine
@@ -61,7 +72,7 @@ from repro.mapping.tiles import buffer_requirements, operand_footprint
 from repro.workloads.dims import DIMS
 from repro.workloads.layer import Layer
 from repro.workloads.model import Model
-from repro.workloads.statics import layer_statics, model_statics
+from repro.workloads.statics import LayerStatics, layer_statics, model_statics
 
 #: Accepted ways of supplying mappings to :meth:`CostModel.evaluate_model`.
 MappingProvider = Union[Mapping, Callable[[Layer], Mapping], TMapping[str, Mapping]]
@@ -177,12 +188,21 @@ class CostModel:
     engine:
         ``"fast"`` (default) uses the tuple-based engine and the cache;
         ``"reference"`` runs the original dict-based analysis uncached.
+
+    Other backends subclass this model and replace only
+    :attr:`backend_name` and :attr:`_price_layer`; the caches and the
+    tiered per-design loop are shared.
     """
 
     energy_model: EnergyModel = EnergyModel()
     bytes_per_element: int = 1
     cache_size: int = DEFAULT_LAYER_CACHE_SIZE
     engine: str = "fast"
+
+    #: Backend name scoping this model's persistent-tier digests.
+    backend_name: ClassVar[str] = "analytic"
+    #: Per-layer pricing function of the tiered per-design loop.
+    _price_layer = staticmethod(evaluate_layer_key)
 
     def __post_init__(self) -> None:
         if self.engine not in ("fast", "reference"):
@@ -200,7 +220,9 @@ class CostModel:
             self,
             "_l2_namespace",
             cache_namespace(
-                "analytic", self.bytes_per_element, self._energy_coefficients
+                self.backend_name,
+                self.bytes_per_element,
+                self._energy_coefficients,
             ),
         )
 
@@ -245,10 +267,12 @@ class CostModel:
     def attach_persistent_cache(self, tier: PersistentLayerCache) -> None:
         """Back the layer-report LRU with a persistent L2 tier.
 
-        Lookups that miss the in-memory cache then probe the on-disk
-        store before falling back to the engine, and freshly priced rows
-        are written back — all inside the cache-enabled branches, so
-        ``use_cache=False`` keeps the tier inactive too.
+        Per-design lookups (:meth:`evaluate_model`, :meth:`evaluate_layer`)
+        that miss the in-memory cache then probe the on-disk store before
+        falling back to the engine, and freshly priced rows are written
+        back — only while the cache is enabled, so ``use_cache=False``
+        keeps the tier inactive too.  The gene-matrix path never touches
+        the tier.
         """
         self._cache.tier = tier
 
@@ -274,7 +298,8 @@ class CostModel:
         ``l2_*`` counters report the persistent tier when one is attached
         (an L2 hit also counts as an L1 miss, so the L1 hit/miss counters
         are identical cold or warm and the tier's effect is purely who
-        supplies the miss).
+        supplies the miss).  A backend without a vector path reports zero
+        rows and fallbacks.
         """
         tier = self._cache.tier
         if tier is None:
@@ -315,48 +340,16 @@ class CostModel:
         evaluated (the encoding never produces hard failures, only bad
         scores).
         """
-        if noc_bandwidth <= 0 or dram_bandwidth <= 0:
-            raise ValueError("bandwidths must be positive")
         if self.engine == "reference":
             return self.evaluate_layer_reference(
                 layer, mapping, noc_bandwidth, dram_bandwidth
             )
-        statics = layer_statics(layer)
-        key = layer_mapping_key(statics, mapping)
-        # Statics are canonical per layer shape (identity-hashed), which
-        # keeps the composite key cheap while distinguishing layers whose
-        # different shapes happen to clip a mapping identically.  Cached
-        # values are plain field tuples (see evaluate_model for why).
-        cache_key = (statics, key, noc_bandwidth, dram_bandwidth)
-        cache = self._cache
-        entry = cache.get(cache_key)
-        if entry is not None:
-            return make_report(layer.name, *entry, layer.count)
-        tier = cache.tier if cache.maxsize > 0 else None
-        digest = None
-        if tier is not None:
-            digest = tuple_key_digest(
-                self._l2_namespace, statics, key, noc_bandwidth, dram_bandwidth
-            )
-            entry = tier.get(digest)
-            if entry is not None:
-                cache.put(cache_key, entry)
-                return make_report(layer.name, *entry, layer.count)
-        report = evaluate_layer_key(
-            statics,
-            key,
+        (report,) = self._layer_reports(
+            ((layer, layer_statics(layer)),),
+            mapping,
             noc_bandwidth,
             dram_bandwidth,
-            self.bytes_per_element,
-            self._energy_coefficients,
-            layer.name,
-            layer.count,
         )
-        values = _report_values(report)
-        cache.put(cache_key, values)
-        if tier is not None:
-            tier.put(digest, values)
-            tier.flush()
         return report
 
     def evaluate_layer_reference(
@@ -453,14 +446,32 @@ class CostModel:
                 )
             return ModelPerformance(model_name=model.name, layers=tuple(reports))
 
-        # Fused fast path: one cache/engine round per unique layer, with
-        # per-evaluation constants hoisted and the cache dict operated on
-        # directly (see LRUCache.data) to keep the per-layer overhead at a
-        # couple of dict operations.  The cache stores plain field tuples
-        # rather than report objects: tuples of scalars are untracked by the
-        # cyclic GC, so thousands of cached entries do not slow collections
-        # down; reports are rebuilt on hits via the engine's bulk
-        # constructor.
+        reports = self._layer_reports(
+            model_statics(model), mappings, noc_bandwidth, dram_bandwidth
+        )
+        return ModelPerformance(model_name=model.name, layers=tuple(reports))
+
+    def _layer_reports(
+        self,
+        pairs: Iterable[Tuple[Layer, LayerStatics]],
+        mappings: MappingProvider,
+        noc_bandwidth: float,
+        dram_bandwidth: float,
+    ) -> List[LayerPerformance]:
+        """The tiered per-design loop: layer LRU, persistent tier, pricing.
+
+        One cache/engine round per ``(layer, statics)`` pair, with
+        per-evaluation constants hoisted and the cache dict operated on
+        directly (see LRUCache.data) to keep the per-layer overhead at a
+        couple of dict operations.  The cache stores plain field tuples
+        rather than report objects: tuples of scalars are untracked by the
+        cyclic GC, so thousands of cached entries do not slow collections
+        down; reports are rebuilt on hits via the engine's bulk
+        constructor.  Keys hold the statics object itself (canonical per
+        layer shape, identity-hashed), which keeps them cheap while
+        distinguishing layers whose shapes clip a mapping identically.
+        Misses are priced by :attr:`_price_layer`.
+        """
         if noc_bandwidth <= 0 or dram_bandwidth <= 0:
             raise ValueError("bandwidths must be positive")
         cache = self._cache
@@ -470,11 +481,12 @@ class CostModel:
         data = cache.data
         maxsize = cache.maxsize
         hits = misses = 0
+        price = self._price_layer
         bpe = self.bytes_per_element
         energy = self._energy_coefficients
         shared = mappings if isinstance(mappings, Mapping) else None
         reports = []
-        for layer, statics in model_statics(model):
+        for layer, statics in pairs:
             mapping = shared if shared is not None else _resolve_mapping(mappings, layer)
             key = layer_mapping_key(statics, mapping)
             entry = None
@@ -500,7 +512,7 @@ class CostModel:
                             if len(data) > maxsize:
                                 data.popitem(last=False)
             if entry is None:
-                report = evaluate_layer_key(
+                report = price(
                     statics,
                     key,
                     noc_bandwidth,
@@ -524,7 +536,7 @@ class CostModel:
         cache.misses += misses
         if tier is not None:
             tier.flush()
-        return ModelPerformance(model_name=model.name, layers=tuple(reports))
+        return reports
 
     # -- whole population --------------------------------------------------
 
@@ -541,12 +553,13 @@ class CostModel:
         :meth:`Mapping.cache_key` parts.  A thin adapter over the
         population path: a uniform-depth batch whose genes fit int64 is
         flattened into a gene matrix and priced by
-        :meth:`evaluate_model_matrix` (layer-cache and persistent-tier
-        reuse included).  Mixed-depth batches and genes beyond int64 are
-        priced uncached, row by (design, layer) row, through
-        :meth:`VectorEngine.evaluate_rows`, which groups rows by depth and
-        keeps the scalar fallbacks exact.  Reports are identical to calling
-        :meth:`evaluate_model` once per mapping either way.
+        :meth:`evaluate_model_matrix` (layer-cache reuse included; the
+        persistent tier serves per-design pricing only).  Mixed-depth
+        batches and genes beyond int64 are priced uncached, row by
+        (design, layer) row, through :meth:`VectorEngine.evaluate_rows`,
+        which groups rows by depth and keeps the scalar fallbacks exact.
+        Reports are identical to calling :meth:`evaluate_model` once per
+        mapping either way.
         """
         if self.engine == "reference":
             return [
@@ -710,23 +723,11 @@ class CostModel:
         step = width * 8
         cache = self._cache
         cache_on = cache.maxsize > 0
-        tier = cache.tier if cache_on else None
-        namespace = self._l2_namespace
         maxsize = cache.maxsize
-        # Per-layer statics content blobs for the persistent-tier digests:
-        # the digest replaces the process-local token column with them, so
-        # on-disk keys are stable across processes and runs.
-        blobs = (
-            [statics_blob(statics) for _, statics in pairs]
-            if tier is not None
-            else None
-        )
         data = cache.data
         hits = misses = 0
-        l2_served = 0
         entries: List = [None] * (num_designs * num_layers)
         pending: Dict[bytes, int] = {}
-        pending_digest: Dict[bytes, bytes] = {}
         pending_positions: List[int] = []
         for index in range(num_designs * num_layers):
             fingerprint = raw[index * step : index * step + step]
@@ -744,22 +745,6 @@ class CostModel:
                     hits += 1
                     entries[index] = value
                     continue
-                if tier is not None:
-                    digest = matrix_row_digest(
-                        namespace, blobs[index % num_layers], fingerprint
-                    )
-                    value = tier.get(digest)
-                    if value is not None:
-                        # Served from the persistent tier: counted as an
-                        # L1 miss below (same counters as a cold run) and
-                        # inserted so later occurrences hit in-memory.
-                        l2_served += 1
-                        entries[index] = value
-                        data[fingerprint] = value
-                        if len(data) > maxsize:
-                            data.popitem(last=False)
-                        continue
-                    pending_digest[fingerprint] = digest
             pending[fingerprint] = len(pending_positions)
             entries[index] = len(pending_positions)
             pending_positions.append(index)
@@ -786,17 +771,12 @@ class CostModel:
             if cache_on:
                 misses += len(pending_positions)
                 for fingerprint, slot in pending.items():
-                    row_values = values[slot]
-                    data[fingerprint] = row_values
+                    data[fingerprint] = values[slot]
                     if len(data) > maxsize:
                         data.popitem(last=False)
-                    if tier is not None:
-                        tier.put(pending_digest[fingerprint], row_values)
         if cache_on:
             cache.hits += hits
-            cache.misses += misses + l2_served
-        if tier is not None:
-            tier.flush()
+            cache.misses += misses
 
         performances: List[ModelPerformance] = []
         for design_index in range(num_designs):

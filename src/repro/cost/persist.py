@@ -1,13 +1,18 @@
 """Persistent cross-run layer-report cache: the L2 tier under the LRU.
 
 Layer reports are pure functions of (layer shape, clipped mapping key,
-bandwidths, cost-backend configuration), and the gene-matrix path already
-fingerprints that whole composite key into content-addressed row bytes
-(see :meth:`repro.cost.maestro.CostModel.evaluate_model_matrix`).  This
-module turns those fingerprints into a crash-safe on-disk store so the
-in-memory :class:`~repro.cost.cache.LRUCache` becomes an L1 over an L2
-shared by worker processes, sweep jobs and successive runs: repeat
-queries become lookups instead of engine evaluations.
+bandwidths, cost-backend configuration).  This module fingerprints that
+whole composite key into a content-addressed digest and keeps a
+crash-safe on-disk store of the priced rows, so the in-memory
+:class:`~repro.cost.cache.LRUCache` becomes an L1 over an L2 shared by
+sweep jobs and successive runs: repeat queries become lookups instead of
+engine evaluations.
+
+The tier serves per-design pricing only
+(:meth:`repro.cost.maestro.CostModel.evaluate_model` and
+``evaluate_layer``, which both backends share).  The gene-matrix
+population path never touches it: re-pricing a vector row costs less
+than digesting the row and reading it back from disk.
 
 Keying
 ------
@@ -18,16 +23,11 @@ Entries are addressed by a SHA-1 digest of three parts:
   element width and the energy coefficients — so rows priced under
   different backends or technology models can never alias;
 * a **statics blob** — the layer's canonical shape signature (operator
-  name, dimension sizes, stride).  The in-memory fingerprints embed a
-  *process-local* statics token (``LRUCache.tokens``); the digest
-  replaces it with this content form, which is what makes the key stable
-  across processes and runs; and
+  name, dimension sizes, stride).  The in-memory keys hold the statics
+  object itself; the digest replaces it with this content form, which is
+  what makes the key stable across processes and runs; and
 * the **gene tail** — the per-level (spatial, parallel, order, tiles)
-  integers plus both bandwidth float bit patterns, exactly the layout of
-  a matrix work row after its token column.
-
-The scalar tuple keys and the packed matrix rows canonicalize to the same
-digest, so a search warmed on one engine path serves every other.
+  integers plus both bandwidth float bit patterns.
 
 Durability
 ----------
@@ -39,17 +39,17 @@ interleave bytes), partial trailing lines healed by prefixing a newline,
 undecodable lines counted and reported via
 :class:`PersistentCacheCorruption` — a damaged record is *never served*;
 lookups re-verify the stored digest before returning a row.  Several
-writers may share one directory (shards or pool workers with one cache
-dir): a flush takes its record offsets from where its append actually
-landed, and the index sidecar only ever covers data its writer has
-indexed — other writers' appends are scanned in first — so no writer
-hides another's rows.  The binary index sidecar is a rebuildable
-accelerator: any inconsistency (torn entry, stale header, wrong version)
-discards it and rescans the data file, which remains the single source
-of truth.  A data file whose header
-does not match :data:`FORMAT_NAME`/:data:`KEY_VERSION` is quarantined
-(renamed aside) and the cache starts fresh rather than risk serving rows
-keyed under different rules.
+writers may share one directory (sweep shards with one cache dir): a
+flush takes its record offsets from where its append actually landed,
+and the index sidecar only ever covers data its writer has indexed —
+other writers' appends are scanned in first — so no writer hides
+another's rows.  The binary index sidecar is a rebuildable accelerator:
+any inconsistency (torn entry, stale header, wrong version) discards it
+and rescans the data file, which remains the single source of truth.  A
+data file whose header does not match
+:data:`FORMAT_NAME`/:data:`KEY_VERSION` is quarantined (renamed aside)
+and the cache starts fresh rather than risk serving rows keyed under
+different rules.
 """
 
 from __future__ import annotations
@@ -141,11 +141,6 @@ def row_digest(namespace: bytes, blob: bytes, tail: bytes) -> bytes:
     return digest.digest()
 
 
-def matrix_row_digest(namespace: bytes, blob: bytes, fingerprint: bytes) -> bytes:
-    """Digest of one packed work row (token column stripped, tail kept)."""
-    return row_digest(namespace, blob, fingerprint[8:])
-
-
 def tuple_key_digest(
     namespace: bytes,
     statics,
@@ -156,12 +151,9 @@ def tuple_key_digest(
     """Digest of one scalar-path composite cache key.
 
     Flattens the per-level ``((spatial, parallel, order), tiles)`` tuples
-    in matrix gene order and appends both bandwidth float bit patterns,
-    reproducing a packed work row's byte tail exactly, so scalar- and
-    matrix-path queries for the same logical row share one digest.  Keys
-    whose integers exceed int64 (possible on the exact tuple path, never
-    on a matrix row) fall back to a ``repr`` tail: still deterministic,
-    just not shared with the matrix form that cannot represent them.
+    in gene order as int64 and appends both bandwidth float bit patterns.
+    Keys whose integers exceed int64 fall back to a ``repr`` tail: still
+    deterministic, just a different byte form.
     """
     genes = []
     for (spatial, parallel, order), tiles in key:
@@ -199,27 +191,23 @@ class PersistentLayerCache:
     instance across sweep jobs (via ``adopt_cache``) is safe even when a
     finished job closes its evaluator.
 
-    Instances pickle as (directory, durability) and reopen lazily on the
-    other side, so worker processes of an evaluation pool read and append
-    the same store; the ``O_APPEND`` single-write discipline keeps
-    concurrent appends intact at line granularity.
+    Flushes are not fsynced: the store is a rebuildable, digest-verified
+    accelerator, so a row lost to a crash is simply priced again.
     """
 
-    def __init__(self, directory, durability: str = "flush"):
-        if durability not in ("flush", "fsync"):
-            raise ValueError(
-                f"durability must be 'flush' or 'fsync', got {durability!r}"
-            )
+    def __init__(self, directory):
         self.directory = Path(directory)
-        self.durability = durability
-        #: Tier counters (this process; workers count in their own copy).
+        #: Tier counters of this instance.
         self.l2_hits = 0
         self.l2_misses = 0
         self.l2_writes = 0
         #: Undecodable / mismatched data lines seen while scanning.
         self.corrupt_lines = 0
-        #: Entries found on disk at open — the cross-run carryover.
+        #: Entries found on disk at the first open — the cross-run
+        #: carryover (reopening after :meth:`close` leaves it alone).
         self.loaded_entries = 0
+        #: Addressable rows when last closed; ``None`` until then.
+        self._entries_at_close: Optional[int] = None
         self._offsets: Optional[Dict[bytes, Tuple[int, int]]] = None
         #: Data-file prefix whose records are all in ``_offsets``; other
         #: writers' appends past it are indexed before the sidecar is
@@ -307,8 +295,6 @@ class PersistentLayerCache:
         view = memoryview(data)[written:]
         while view:  # short writes (ENOSPC, signals) must not truncate
             view = view[os.write(descriptor, view) :]
-        if self.durability == "fsync":
-            os.fsync(descriptor)
         end = os.lseek(descriptor, 0, os.SEEK_CUR)
         if end - start == len(data):
             cursor = start + len(prefix)
@@ -336,14 +322,21 @@ class PersistentLayerCache:
         if self._descriptor is not None:
             os.close(self._descriptor)
             self._descriptor = None
+        self._entries_at_close = len(self._offsets)
         self._offsets = None
 
     # -- introspection -----------------------------------------------------
 
     @property
     def entries(self) -> int:
-        """Rows addressable right now (opens the store if needed)."""
+        """Rows addressable right now.
+
+        Opens a store never opened before; a closed store reports its
+        count at close instead of reopening.
+        """
         if self._offsets is None:
+            if self._entries_at_close is not None:
+                return self._entries_at_close
             self._open()
         return len(self._offsets) + len(self._buffer)
 
@@ -420,7 +413,8 @@ class PersistentLayerCache:
             )
             self.corrupt_lines += corrupt
         self._offsets = offsets
-        self.loaded_entries = len(offsets)
+        if self._entries_at_close is None:
+            self.loaded_entries = len(offsets)
 
     def _header_ok(self) -> bool:
         """True when the data file's first line matches this format/version."""
@@ -591,14 +585,6 @@ class PersistentLayerCache:
                 self.data_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o644
             )
         return self._descriptor
-
-    # -- pickling (worker pools share the store by path) -------------------
-
-    def __getstate__(self) -> dict:
-        return {"directory": str(self.directory), "durability": self.durability}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["directory"], state.get("durability", "flush"))
 
     def __del__(self) -> None:
         try:

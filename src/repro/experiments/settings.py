@@ -89,9 +89,9 @@ class ExperimentSettings:
     backend: str = "analytic"
     #: Optional persistent cross-run layer-cache directory
     #: (:class:`~repro.cost.persist.PersistentLayerCache`).  Purely an
-    #: accelerator: cached rows are bit-identical to engine pricing, so the
-    #: directory does not join job identities and one directory may be
-    #: shared by every job, worker and run.
+    #: accelerator for per-design pricing: cached rows are bit-identical to
+    #: engine pricing, so the directory does not join job identities and
+    #: one directory may be shared by every job and run.
     cache_dir: Optional[str] = None
     #: Extra attempts per failed job (0 = one attempt, no retry).
     retries: int = 0

@@ -233,14 +233,17 @@ class DesignEvaluator:
         ``engine`` selector are analytic-backend concepts.
     cache_dir:
         Optional directory of a persistent cross-run layer cache
-        (:class:`~repro.cost.persist.PersistentLayerCache`).  The
-        in-memory layer LRU becomes an L1 over this shared on-disk L2:
-        misses probe the store before the engine and freshly priced rows
-        are written back, so identical queries across worker processes,
-        sweep jobs and successive runs become lookups.  Results are
-        bit-identical with or without it (served rows are pure functions
-        of their content-addressed keys); ignored when ``use_cache`` is
-        False or on the reference engine.
+        (:class:`~repro.cost.persist.PersistentLayerCache`) for
+        per-design pricing (:meth:`evaluate_genome` and the per-member
+        loops of the scalar engines and non-analytic backends).  There
+        the in-memory layer LRU becomes an L1 over this shared on-disk
+        L2: misses probe the store before the engine and freshly priced
+        rows are written back, so identical queries across sweep jobs and
+        successive runs become lookups.  The gene-matrix vector path and
+        pool workers never touch it.  Results are bit-identical with or
+        without it (served rows are pure functions of their
+        content-addressed keys); ignored when ``use_cache`` is False or
+        on the reference engine.
     """
 
     #: Accepted ``engine`` values (the module-level constant).

@@ -55,13 +55,14 @@ class TestSearch:
         # The CI warm-cache gate in miniature: same search twice against
         # one --cache-dir; the second run must answer >= 90% of its layer
         # pricings from the persistent tier and reproduce the best
-        # fitness bit-identically.
+        # fitness bit-identically.  loaded_entries counts only what the
+        # store held before each run, never the run's own writes.
         stats = []
         for name in ("cold.json", "warm.json"):
             path = tmp_path / name
             exit_code = main([
                 "search", "--model", "ncf", "--budget", "60",
-                "--optimizer", "random",
+                "--optimizer", "cma",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--cache-stats-json", str(path),
             ])
@@ -74,6 +75,8 @@ class TestSearch:
         assert cold["l2"]["writes"] > 0
         assert warm["l2"]["hit_rate"] >= 0.9
         assert warm["l2"]["writes"] == 0
+        assert cold["l2"]["loaded_entries"] == 0
+        assert warm["l2"]["loaded_entries"] == cold["l2"]["entries"] > 0
 
     def test_search_objectives_prints_front_and_saves_json(self, capsys, tmp_path):
         output_path = tmp_path / "front.json"

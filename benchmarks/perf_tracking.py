@@ -7,7 +7,7 @@ Measures, on this machine:
   gene-matrix population data path, the scalar engines with and without
   memoization, and the seed reference path — reporting the speedups the
   repository's perf work must not regress, and
-* cold-vs-warm CMA search throughput over a persistent cache directory
+* cold-vs-warm (1+1)-ES search throughput over a persistent cache directory
   (``repro.cost.persist``, which serves per-design pricing only), with
   the counter-verified warm L2 hit rate.
 
@@ -199,10 +199,11 @@ def bench_three_level(budget: int, reps: int, seed: int = 0) -> dict:
 def bench_warm_cache(budget: int, reps: int, seed: int = 0) -> dict:
     """Cold vs warm search throughput over a persistent cache directory.
 
-    Each repetition runs a CMA search — per-design pricing, the only path
-    the tier serves — twice against one fresh ``cache_dir``: cold (every
-    layer row priced by the engine and written back) then warm (rows
-    answered from the on-disk tier).  The warm L2
+    Each repetition runs a (1+1)-ES search — sequential per-design
+    pricing, the only path the tier serves (CMA-ES and TBPSA price each
+    generation as one gene-matrix batch) — twice against one fresh
+    ``cache_dir``: cold (every layer row priced by the engine and written
+    back) then warm (rows answered from the on-disk tier).  The warm L2
     hit rate is counter-verified — never inferred from timing — and both
     phases must land on a bit-identical best fitness: the persistent
     cache is an accelerator, not an oracle allowed to change results.
@@ -225,7 +226,7 @@ def bench_warm_cache(budget: int, reps: int, seed: int = 0) -> dict:
                 try:
                     start = time.perf_counter()
                     result = framework.search(
-                        get_optimizer("cma"), sampling_budget=budget, seed=seed
+                        get_optimizer("(1+1)-es"), sampling_budget=budget, seed=seed
                     )
                     elapsed = time.perf_counter() - start
                     counters = framework.evaluator.persistent_cache.counters()
@@ -245,7 +246,7 @@ def bench_warm_cache(budget: int, reps: int, seed: int = 0) -> dict:
         name: round(max(values), 1) for name, values in samples.items()
     }
     return {
-        "optimizer": "cma",
+        "optimizer": "(1+1)-es",
         "budget": budget,
         "reps": reps,
         "evals_per_second": throughput,
@@ -436,15 +437,16 @@ def check_regression(
 def check_smoke(budget: int = 400) -> int:
     """CI smoke: vector vs fast parity on small populations + micro-bench.
 
-    One DiGamma search per engine on a GA population (budget // 25 members)
-    and one RandomSearch per engine (64-sample genome-list chunks, the
-    tracker's ``evaluate_batch`` view), each asserting *bit-identical* best
-    fitness and history, plus a throughput line so CI logs track the speed
-    plumbing.  Exits non-zero if the engines disagree or the vector path
-    failed to vectorize anything.
+    One DiGamma search per engine on a GA population (budget // 25 members),
+    one RandomSearch per engine (64-sample genome-list chunks, the
+    tracker's ``evaluate_batch`` view) and one CMA-ES search per engine
+    (one ``evaluate_vector_batch`` call per generation), each asserting
+    *bit-identical* best fitness and history, plus a throughput line so CI
+    logs track the speed plumbing.  Exits non-zero if the engines disagree
+    or the vector path failed to vectorize anything.
     """
     model = get_model("resnet18")
-    for optimizer in ("digamma", "random"):
+    for optimizer in ("digamma", "random", "cma"):
         outcomes = {}
         for name, kwargs in (("vector", {}), ("fast", {"engine": "fast"})):
             framework = CoOptimizationFramework(

@@ -4,7 +4,8 @@ A clean from-scratch implementation of standard (mu/mu_w, lambda)-CMA-ES
 with cumulative step-size adaptation and rank-one / rank-mu covariance
 updates, operating on the flat vector encoding in ``[0, 1]^n``.  CMA is the
 strongest generic baseline in the paper (values in Fig. 5 are normalized to
-it).
+it).  Each generation is sampled from fixed state before any fitness is read,
+so it is priced as one batch on the gene-matrix path.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.framework.search import SearchTracker
-from repro.optim.base import Optimizer
+from repro.optim.base import Optimizer, evaluate_vectors
 
 
 class CMAES(Optimizer):
@@ -81,15 +82,16 @@ class CMAES(Optimizer):
 
             sqrt_eigenvalues = np.sqrt(eigenvalues)
             samples = []
-            fitnesses = []
-            for _ in range(lam):
-                if tracker.exhausted:
-                    return
+            for _ in range(min(lam, tracker.remaining)):
                 z = rng.standard_normal(dimension)
                 step = eigenvectors @ (sqrt_eigenvalues * z)
                 candidate = np.clip(mean + sigma * step, 0.0, 1.0)
                 samples.append((candidate, z))
-                fitnesses.append(tracker.evaluate_vector(candidate))
+            fitnesses = evaluate_vectors(
+                tracker, [candidate for candidate, _ in samples]
+            )
+            if len(fitnesses) < lam:
+                return
 
             order = np.argsort(fitnesses)[::-1][:mu]
             selected = [samples[i] for i in order]

@@ -5,7 +5,9 @@ optimization: it keeps a Gaussian search distribution whose mean and step
 size are re-estimated from the best half of each population, and it grows
 the population over time to average out noise.  This is a faithful
 simplified re-implementation of the algorithm as popularised by the
-nevergrad library, which the paper uses as its TBPSA baseline.
+nevergrad library, which the paper uses as its TBPSA baseline.  Each
+generation is sampled before any fitness is read, so it is priced as one
+batch on the gene-matrix path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.framework.search import SearchTracker
-from repro.optim.base import Optimizer
+from repro.optim.base import Optimizer, evaluate_vectors
 
 
 class TBPSA(Optimizer):
@@ -48,16 +50,13 @@ class TBPSA(Optimizer):
 
         while not tracker.exhausted:
             mu = max(1, lam // 2)
-            candidates = []
-            fitnesses = []
-            for _ in range(lam):
-                if tracker.exhausted:
-                    return
-                candidate = np.clip(
-                    mean + sigma * rng.standard_normal(dimension), 0.0, 1.0
-                )
-                candidates.append(candidate)
-                fitnesses.append(tracker.evaluate_vector(candidate))
+            candidates = [
+                np.clip(mean + sigma * rng.standard_normal(dimension), 0.0, 1.0)
+                for _ in range(min(lam, tracker.remaining))
+            ]
+            fitnesses = evaluate_vectors(tracker, candidates)
+            if len(fitnesses) < lam:
+                return
 
             order = np.argsort(fitnesses)[::-1][:mu]
             elite = np.array([candidates[i] for i in order])

@@ -386,7 +386,7 @@ class TestCostModelTiering:
 
 
 class TestFrameworkWarmRerun:
-    def _search(self, model, platform, directory, seed=3, optimizer="cma"):
+    def _search(self, model, platform, directory, seed=3, optimizer="(1+1)-es"):
         framework = CoOptimizationFramework(
             model,
             platform,
@@ -423,7 +423,9 @@ class TestFrameworkWarmRerun:
             tiny_model, edge_platform, objective=Objective.LATENCY
         )
         try:
-            baseline = bare.search(get_optimizer("cma"), sampling_budget=60, seed=3)
+            baseline = bare.search(
+                get_optimizer("(1+1)-es"), sampling_budget=60, seed=3
+            )
         finally:
             bare.close()
         for _ in range(2):  # cold pass, then fully warm pass

@@ -616,7 +616,7 @@ class TestCacheReuseAcrossJobs:
 
     def test_persistent_tier_spans_runs_and_is_recorded(self, tmp_path):
         spec = JobSpec(
-            model="ncf", platform="edge", optimizer="cma", sampling_budget=40
+            model="ncf", platform="edge", optimizer="(1+1)-es", sampling_budget=40
         )
         settings = ExperimentSettings(
             models=("ncf",),

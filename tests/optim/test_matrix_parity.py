@@ -10,6 +10,7 @@ whole searches.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 from typing import List
 
@@ -20,12 +21,17 @@ from repro.arch.platform import get_platform
 from repro.encoding.genome import Genome, GenomeSpace, log_uniform_int
 from repro.encoding.genome_matrix import GenomeMatrix, genome_to_genes
 from repro.framework.cooptimizer import CoOptimizationFramework
+from repro.framework.search import SearchTracker
 from repro.optim.base import evaluate_genomes
+from repro.optim.cma import CMAES
 from repro.optim.digamma import operators
 from repro.optim.digamma.algorithm import DiGamma
+from repro.optim.grid_search import HardwareGridSearch
 from repro.optim.nsga2 import NSGA2
+from repro.optim.portfolio import PassivePortfolio
 from repro.optim.pso import ParticleSwarm
 from repro.optim.std_ga import StandardGA
+from repro.optim.tbpsa import TBPSA
 from repro.workloads.dims import DIMS
 from repro.workloads.registry import get_model
 from tests.optim.helpers import BatchSpyTracker
@@ -345,6 +351,229 @@ class TestPSOVectorizedSweep:
         reference = _search(ncf, _ReferencePSO(), budget=240, seed=5)
         assert vectorized.history == reference.history
         assert vectorized.best.fitness == reference.best.fitness
+
+
+class _ReferenceCMAES(CMAES):
+    """The per-candidate CMA-ES generation loop, kept as ground truth."""
+
+    def _run_once(self, tracker, rng):
+        dimension = tracker.vector_dimension
+        lam = self.population_size or (4 + int(3 * math.log(dimension)))
+        mu = lam // 2
+        raw_weights = np.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
+        weights = raw_weights / raw_weights.sum()
+        mu_eff = 1.0 / float(np.sum(weights**2))
+
+        c_sigma = (mu_eff + 2.0) / (dimension + mu_eff + 5.0)
+        d_sigma = (
+            1.0
+            + 2.0 * max(0.0, math.sqrt((mu_eff - 1.0) / (dimension + 1.0)) - 1.0)
+            + c_sigma
+        )
+        c_c = (4.0 + mu_eff / dimension) / (dimension + 4.0 + 2.0 * mu_eff / dimension)
+        c_1 = 2.0 / ((dimension + 1.3) ** 2 + mu_eff)
+        c_mu = min(
+            1.0 - c_1,
+            2.0 * (mu_eff - 2.0 + 1.0 / mu_eff) / ((dimension + 2.0) ** 2 + mu_eff),
+        )
+        chi_n = math.sqrt(dimension) * (
+            1.0 - 1.0 / (4.0 * dimension) + 1.0 / (21.0 * dimension**2)
+        )
+
+        mean = rng.random(dimension)
+        sigma = self.initial_sigma
+        covariance = np.eye(dimension)
+        path_sigma = np.zeros(dimension)
+        path_c = np.zeros(dimension)
+        eigenvalues = np.ones(dimension)
+        eigenvectors = np.eye(dimension)
+        generation = 0
+
+        while not tracker.exhausted:
+            generation += 1
+            if generation % max(1, int(1.0 / (10.0 * dimension * (c_1 + c_mu)))) == 1:
+                eigenvalues, eigenvectors = self._decompose(covariance)
+
+            sqrt_eigenvalues = np.sqrt(eigenvalues)
+            samples = []
+            fitnesses = []
+            for _ in range(lam):
+                if tracker.exhausted:
+                    return
+                z = rng.standard_normal(dimension)
+                step = eigenvectors @ (sqrt_eigenvalues * z)
+                candidate = np.clip(mean + sigma * step, 0.0, 1.0)
+                samples.append((candidate, z))
+                fitnesses.append(tracker.evaluate_vector(candidate))
+
+            order = np.argsort(fitnesses)[::-1][:mu]
+            selected = [samples[i] for i in order]
+
+            old_mean = mean
+            mean = np.sum(
+                [w * candidate for w, (candidate, _) in zip(weights, selected)], axis=0
+            )
+            mean = np.clip(mean, 0.0, 1.0)
+
+            z_mean = np.sum([w * z for w, (_, z) in zip(weights, selected)], axis=0)
+            path_sigma = (1.0 - c_sigma) * path_sigma + math.sqrt(
+                c_sigma * (2.0 - c_sigma) * mu_eff
+            ) * (eigenvectors @ z_mean)
+
+            sigma *= math.exp(
+                (c_sigma / d_sigma) * (np.linalg.norm(path_sigma) / chi_n - 1.0)
+            )
+            sigma = float(np.clip(sigma, 1e-8, 1.0))
+
+            h_sigma = 1.0 if np.linalg.norm(path_sigma) / math.sqrt(
+                1.0 - (1.0 - c_sigma) ** (2.0 * generation)
+            ) < (1.4 + 2.0 / (dimension + 1.0)) * chi_n else 0.0
+            displacement = (mean - old_mean) / max(sigma, 1e-12)
+            path_c = (1.0 - c_c) * path_c + h_sigma * math.sqrt(
+                c_c * (2.0 - c_c) * mu_eff
+            ) * displacement
+
+            rank_mu = np.zeros_like(covariance)
+            for w, (candidate, _) in zip(weights, selected):
+                y = (candidate - old_mean) / max(sigma, 1e-12)
+                rank_mu += w * np.outer(y, y)
+            covariance = (
+                (1.0 - c_1 - c_mu) * covariance
+                + c_1
+                * (
+                    np.outer(path_c, path_c)
+                    + (1.0 - h_sigma) * c_c * (2.0 - c_c) * covariance
+                )
+                + c_mu * rank_mu
+            )
+
+            if sigma < self.restart_sigma_threshold:
+                return
+
+
+class _ReferenceTBPSA(TBPSA):
+    """The per-candidate TBPSA generation loop, kept as ground truth."""
+
+    def run(self, tracker, rng):
+        dimension = tracker.vector_dimension
+        lam = self.initial_population or (4 + int(3 * math.log(dimension)))
+        sigma = self.initial_sigma
+        mean = rng.random(dimension)
+        stagnation = 0
+        best_seen = -np.inf
+
+        while not tracker.exhausted:
+            mu = max(1, lam // 2)
+            candidates = []
+            fitnesses = []
+            for _ in range(lam):
+                if tracker.exhausted:
+                    return
+                candidate = np.clip(
+                    mean + sigma * rng.standard_normal(dimension), 0.0, 1.0
+                )
+                candidates.append(candidate)
+                fitnesses.append(tracker.evaluate_vector(candidate))
+
+            order = np.argsort(fitnesses)[::-1][:mu]
+            elite = np.array([candidates[i] for i in order])
+            new_mean = elite.mean(axis=0)
+
+            movement = float(np.linalg.norm(new_mean - mean))
+            mean = new_mean
+            sigma = float(np.clip(0.9 * sigma + 0.3 * movement, 1e-4, 0.5))
+
+            generation_best = max(fitnesses)
+            if generation_best > best_seen:
+                best_seen = generation_best
+                stagnation = 0
+            else:
+                stagnation += 1
+                if stagnation >= 2:
+                    lam = int(math.ceil(lam * self.growth))
+                    stagnation = 0
+
+
+class _ReferenceGridSearch(HardwareGridSearch):
+    """The per-grid-point evaluation loop, kept as ground truth."""
+
+    def run(self, tracker, rng):
+        space = tracker.space
+        grid = self._build_grid(space.max_pes, tracker.remaining)
+        for pe_array in grid:
+            if tracker.exhausted:
+                return
+            tracker.evaluate_genome(self._template_genome(space, pe_array))
+
+
+#: Default CMA-ES / TBPSA generation size on the 28-gene edge encoding.
+_LAM = 13
+
+#: Ask/tell pairs (batched optimizer, per-candidate reference).
+_ASK_TELL = {
+    "cma": (CMAES, _ReferenceCMAES),
+    "tbpsa": (TBPSA, _ReferenceTBPSA),
+    "portfolio": (
+        lambda: PassivePortfolio([CMAES(), TBPSA()]),
+        lambda: PassivePortfolio([_ReferenceCMAES(), _ReferenceTBPSA()]),
+    ),
+}
+
+
+class TestAskTellBatchParity:
+    """CMA-ES and TBPSA price each generation in one batch; the trajectory
+    must equal the per-candidate loop's, including the budget cut of a
+    generation (by the tracker, or by a portfolio's budget slice)."""
+
+    @pytest.mark.parametrize("budget", [20 * _LAM, 20 * _LAM + 3])
+    @pytest.mark.parametrize("name", sorted(_ASK_TELL))
+    @pytest.mark.parametrize("model_name", ["ncf", "resnet18"])
+    def test_matches_the_per_candidate_reference(self, model_name, name, budget):
+        model = get_model(model_name)
+        batched, reference = _ASK_TELL[name]
+        got = _search(model, batched(), budget=budget, seed=1)
+        want = _search(model, reference(), budget=budget, seed=1)
+        assert got.evaluations == want.evaluations == budget
+        assert got.best.fitness == want.best.fitness
+        assert got.history == want.history
+
+    @pytest.mark.parametrize("budget", [20 * _LAM, 20 * _LAM + 3])
+    def test_each_generation_is_one_batch_call(self, ncf, budget):
+        framework = CoOptimizationFramework(ncf, get_platform("edge"))
+        calls = {}
+        for optimizer in (CMAES(), TBPSA()):
+            tracker = SearchTracker(framework.evaluator, framework.space, budget)
+            assert tracker.vector_dimension == 28
+            optimizer.run(tracker, np.random.default_rng(0))
+            assert tracker.batched_evaluations == tracker.evaluations == budget
+            calls[optimizer.name] = tracker.batch_calls
+        generations = math.ceil(budget / _LAM)
+        # CMA keeps lam fixed across restarts; TBPSA only grows it.
+        assert calls["CMA"] == generations
+        assert 1 < calls["TBPSA"] <= generations
+
+
+class TestGridSearchBatchParity:
+    @pytest.mark.parametrize("budget", [7, 400])
+    @pytest.mark.parametrize("platform", ["edge", "cloud"])
+    @pytest.mark.parametrize("dataflow", ["dla", "shi", "eye"])
+    def test_matches_the_per_point_reference(self, ncf, dataflow, platform, budget):
+        def run(optimizer):
+            framework = CoOptimizationFramework(ncf, get_platform(platform))
+            return framework.search(optimizer, sampling_budget=budget, seed=0)
+
+        got = run(HardwareGridSearch(dataflow))
+        want = run(_ReferenceGridSearch(dataflow))
+        assert got.evaluations == want.evaluations
+        assert got.best.fitness == want.best.fitness
+        assert got.history == want.history
+
+    def test_the_grid_is_priced_in_one_batch_call(self, ncf):
+        framework = CoOptimizationFramework(ncf, get_platform("edge"))
+        tracker = SearchTracker(framework.evaluator, framework.space, 60)
+        HardwareGridSearch("dla").run(tracker, np.random.default_rng(0))
+        assert tracker.batch_calls == 1
+        assert tracker.batched_evaluations == tracker.evaluations > 0
 
 
 class TestOperatorRowTwins:

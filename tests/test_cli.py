@@ -62,7 +62,7 @@ class TestSearch:
             path = tmp_path / name
             exit_code = main([
                 "search", "--model", "ncf", "--budget", "60",
-                "--optimizer", "cma",
+                "--optimizer", "(1+1)-es",
                 "--cache-dir", str(tmp_path / "cache"),
                 "--cache-stats-json", str(path),
             ])

@@ -442,13 +442,21 @@ def check_smoke(budget: int = 400) -> int:
     tracker's ``evaluate_batch`` view) and one CMA-ES search per engine
     (one ``evaluate_vector_batch`` call per generation), each asserting
     *bit-identical* best fitness and history, plus a throughput line so CI
-    logs track the speed plumbing.  Exits non-zero if the engines disagree
-    or the vector path failed to vectorize anything.
+    logs track the speed plumbing.  The vector engine also runs with
+    ``use_cache=False`` and must match its cached run bit for bit, and the
+    cached vector run must make zero design- and layer-cache requests (the
+    gene-matrix path uses no LRU).  Exits non-zero if any run disagrees,
+    the vector path touched a cache, or it failed to vectorize anything.
     """
     model = get_model("resnet18")
+    runs = (
+        ("vector", {}),
+        ("vector-uncached", {"use_cache": False}),
+        ("fast", {"engine": "fast"}),
+    )
     for optimizer in ("digamma", "random", "cma"):
         outcomes = {}
-        for name, kwargs in (("vector", {}), ("fast", {"engine": "fast"})):
+        for name, kwargs in runs:
             framework = CoOptimizationFramework(
                 model, get_platform("edge"), **kwargs
             )
@@ -458,24 +466,39 @@ def check_smoke(budget: int = 400) -> int:
             )
             elapsed = time.perf_counter() - start
             vector_stats = framework.evaluator.cost_model.vector_stats
+            requests = (
+                framework.evaluator.design_cache_stats.requests
+                + framework.evaluator.layer_cache_stats.requests
+            )
             outcomes[name] = result
             print(
-                f"{optimizer:>7s} {name:>7s}: "
+                f"{optimizer:>7s} {name:>15s}: "
                 f"{result.evaluations / elapsed:8.0f} evals/s, "
                 f"best fitness {result.best.fitness!r}, "
                 f"{vector_stats['rows_vectorized']} rows vectorized "
-                f"({vector_stats['rows_fallback']} scalar fallbacks)"
+                f"({vector_stats['rows_fallback']} scalar fallbacks), "
+                f"{requests} cache requests"
             )
             if name == "vector" and vector_stats["rows_vectorized"] == 0:
                 print(f"FAIL: {optimizer}: the vector engine never vectorized a row")
                 return 1
-        if outcomes["vector"].best.fitness != outcomes["fast"].best.fitness:
-            print(f"FAIL: {optimizer}: vector and fast disagree on the search outcome")
-            return 1
-        if outcomes["vector"].history != outcomes["fast"].history:
-            print(f"FAIL: {optimizer}: vector and fast followed different trajectories")
-            return 1
-    print("OK: gene-matrix path is bit-identical to the scalar fast engine")
+            if name == "vector" and requests:
+                print(
+                    f"FAIL: {optimizer}: the vector engine made {requests} "
+                    "design/layer cache requests"
+                )
+                return 1
+        for name in ("vector-uncached", "fast"):
+            if outcomes["vector"].best.fitness != outcomes[name].best.fitness:
+                print(f"FAIL: {optimizer}: vector and {name} disagree on the search outcome")
+                return 1
+            if outcomes["vector"].history != outcomes[name].history:
+                print(f"FAIL: {optimizer}: vector and {name} followed different trajectories")
+                return 1
+    print(
+        "OK: gene-matrix path is cache-free and bit-identical to its "
+        "uncached run and to the scalar fast engine"
+    )
     return 0
 
 

@@ -164,7 +164,10 @@ def _print_cache_stats(framework: CoOptimizationFramework) -> None:
         print("evaluation cache: disabled (--no-cache)")
         return
     if evaluator.workers and evaluator.cache_stats.requests == 0:
-        print("evaluation cache: per-worker (stats live in the worker processes)")
+        print(
+            "evaluation cache: no lookups in this process (the design and "
+            "layer caches serve per-design pricing only)"
+        )
         return
     print(f"design cache: {evaluator.design_cache_stats.summary()}")
     print(f"layer cache:  {evaluator.layer_cache_stats.summary()}")
@@ -271,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "'zigzag' (independently coded memory-centric "
                              "model); backends compute different costs")
     search.add_argument("--no-cache", action="store_true",
-                        help="disable evaluation memoization (results are "
+                        help="disable the per-design evaluation caches "
+                             "(population pricing uses none; results are "
                              "bit-identical either way)")
     search.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent cross-run layer-cache directory; "

@@ -71,10 +71,7 @@ class CostBackend(Protocol):
 
     @property
     def layer_cache(self) -> LRUCache:
-        """The layer-report cache instance."""
-
-    def adopt_cache(self, cache: LRUCache) -> None:
-        """Swap in an externally owned layer-report cache."""
+        """The layer-report cache of per-design pricing."""
 
     @property
     def vector_stats(self) -> dict:

@@ -1,11 +1,12 @@
-"""Bounded LRU caches for the evaluation engine.
+"""Bounded LRU caches for per-design pricing.
 
-A genetic-algorithm population re-proposes the same design points
-constantly: elites are copied verbatim into the next generation, and
-repaired genomes clip to far fewer distinct per-layer mappings than raw
-genomes.  The engine therefore memoizes both whole-design evaluations and
-per-layer cost reports behind small bounded LRU caches, and exposes
-hit/miss counters so search runs can report their cache efficiency.
+A sequential search such as (1+1)-ES re-proposes the same design points
+and layer mappings one at a time, so per-design pricing memoizes both
+whole-design evaluations and per-layer cost reports behind small bounded
+LRU caches, and exposes hit/miss counters so search runs can report their
+cache efficiency.  Population pricing (the gene-matrix path) does not use
+them: deduplicating rows within one call is the only reuse that pays
+there.
 """
 
 from __future__ import annotations
@@ -87,24 +88,10 @@ class LRUCache:
         self.data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: Identity tokens for objects embedded in byte-fingerprint keys
-        #: (the gene-matrix path numbers layer statics through this table).
-        #: Living on the cache — the shared artifact of ``adopt_cache`` —
-        #: guarantees every evaluator probing this cache numbers the same
-        #: statics object identically, and the table's references keep the
-        #: objects alive so a token can never be reissued to a different
-        #: object while fingerprints embedding it exist.  Deliberately
-        #: *not* dropped by :meth:`clear`: it is an identity table, not
-        #: cached values, and is bounded by the number of distinct layer
-        #: shapes ever seen.
-        self.tokens: Dict[Any, int] = {}
         #: Optional persistent L2 tier
-        #: (:class:`~repro.cost.persist.PersistentLayerCache`).  It rides
-        #: on the cache instance so ``adopt_cache`` hands the shared tier
-        #: to every adopter along with the L1 contents; per-design pricing
-        #: probes it on L1 misses and writes freshly priced rows back (the
-        #: gene-matrix path never does).  ``None`` keeps every lookup
-        #: purely in-memory.
+        #: (:class:`~repro.cost.persist.PersistentLayerCache`).  Per-design
+        #: pricing probes it on L1 misses and writes freshly priced rows
+        #: back.  ``None`` keeps every lookup purely in-memory.
         self.tier: Optional[Any] = None
 
     @property

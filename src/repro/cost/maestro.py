@@ -11,20 +11,21 @@ optimization loop can afford tens of thousands of samples.
 Two implementations of the per-layer analysis coexist:
 
 * the **fast engine** (:mod:`repro.cost.engine`), which works on
-  precomputed layer statics and tuple-indexed mappings and memoizes layer
-  reports in a bounded LRU keyed on the clipped per-layer mapping — the
-  default on every hot path; and
+  precomputed layer statics and tuple-indexed mappings; per-design
+  pricing memoizes its layer reports in a bounded LRU keyed on the
+  clipped per-layer mapping; and
 * the **reference path** (``engine="reference"``), the original dict-based
   analysis kept verbatim as ground truth for the bit-identical parity tests
   and as the baseline for the throughput benchmarks.
 
 Whole populations have one pricing path, :meth:`CostModel.evaluate_model_matrix`:
-packed gene rows, deduplicated by row bytes against the layer LRU, priced
-by the vector engine (:mod:`repro.cost.vector_engine`).
-:meth:`CostModel.evaluate_model_batch` is a thin adapter that flattens a
-list of mappings onto it.  Single designs go through one tiered loop —
-layer LRU, then the persistent on-disk tier (:mod:`repro.cost.persist`),
-then the per-layer pricing function — that every cost backend shares.
+packed gene rows, deduplicated by row bytes within the call and priced by
+the vector engine (:mod:`repro.cost.vector_engine`); it keeps no cache
+across calls.  :meth:`CostModel.evaluate_model_batch` is a thin adapter
+that flattens a list of mappings onto it.  Single designs go through one
+tiered loop — layer LRU, then the persistent on-disk tier
+(:mod:`repro.cost.persist`), then the per-layer pricing function — that
+every cost backend shares.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import (
     Iterable,
     List,
     Mapping as TMapping,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -77,10 +77,9 @@ from repro.workloads.statics import LayerStatics, layer_statics, model_statics
 #: Accepted ways of supplying mappings to :meth:`CostModel.evaluate_model`.
 MappingProvider = Union[Mapping, Callable[[Layer], Mapping], TMapping[str, Mapping]]
 
-#: Default bound of the per-layer report cache.  Each entry is one flat
-#: tuple of scalar report fields (a few hundred bytes, invisible to the
-#: cyclic GC), so the default costs a couple of MB while comfortably
-#: covering a GA generation's working set.
+#: Default bound of the per-design loop's layer-report cache.  Each entry
+#: is one flat tuple of scalar report fields (a few hundred bytes,
+#: invisible to the cyclic GC), so the default costs a couple of MB.
 DEFAULT_LAYER_CACHE_SIZE = 16384
 
 
@@ -184,7 +183,8 @@ class CostModel:
     bytes_per_element:
         Tensor element width in bytes.
     cache_size:
-        Bound of the memoized per-layer report cache (0 disables caching).
+        Bound of the per-design loop's layer-report cache (0 disables
+        caching).  The gene-matrix path never consults it.
     engine:
         ``"fast"`` (default) uses the tuple-based engine and the cache;
         ``"reference"`` runs the original dict-based analysis uncached.
@@ -239,30 +239,8 @@ class CostModel:
 
     @property
     def layer_cache(self) -> LRUCache:
-        """The layer-report cache instance (shareable via :meth:`adopt_cache`)."""
+        """The layer-report cache of the per-design loop."""
         return self._cache
-
-    def adopt_cache(self, cache: LRUCache) -> None:
-        """Swap in an externally owned layer-report cache.
-
-        The sweep runner uses this to hand one warm cache to every job that
-        shares a model x platform x constraint combination: per-layer
-        reports are pure functions of (statics, clipped mapping key,
-        bandwidths) — all part of the cache key (the gene-matrix path
-        numbers the statics through the cache's own token table, so every
-        adopter agrees on the fingerprints) — and reuse across objectives
-        and optimizers is sound.
-
-        A persistent L2 tier rides along: if this model's current cache
-        carries one and the adopted cache does not, the tier moves over,
-        so a sweep's shared warm caches stay backed by the shared on-disk
-        store (L2 digests embed no process- or cache-local state, so the
-        carry is always sound).
-        """
-        tier = self._cache.tier
-        if tier is not None and cache.tier is None:
-            cache.tier = tier
-        object.__setattr__(self, "_cache", cache)
 
     def attach_persistent_cache(self, tier: PersistentLayerCache) -> None:
         """Back the layer-report LRU with a persistent L2 tier.
@@ -553,10 +531,10 @@ class CostModel:
         :meth:`Mapping.cache_key` parts.  A thin adapter over the
         population path: a uniform-depth batch whose genes fit int64 is
         flattened into a gene matrix and priced by
-        :meth:`evaluate_model_matrix` (layer-cache reuse included; the
-        persistent tier serves per-design pricing only).  Mixed-depth
-        batches and genes beyond int64 are priced uncached, row by
-        (design, layer) row, through :meth:`VectorEngine.evaluate_rows`,
+        :meth:`evaluate_model_matrix` (in-call row dedup only; the layer
+        LRU and the persistent tier serve per-design pricing).  Mixed-depth
+        batches and genes beyond int64 are priced row by (design, layer)
+        row through :meth:`VectorEngine.evaluate_rows`,
         which groups rows by depth and keeps the scalar fallbacks exact.
         Reports are identical to calling :meth:`evaluate_model` once per
         mapping either way.
@@ -646,8 +624,8 @@ class CostModel:
         tiles >= 1, orders are permutations).  The per-(design, layer) work
         rows are assembled with array gathers — vectorized tile clipping
         against the model's dimension matrix, no per-member tuple
-        construction — and deduplicated by raw row bytes before anything
-        touches a Python dict.  Results are bit-identical to
+        construction — and deduplicated by raw row bytes within the call;
+        no cache is read or written.  Results are bit-identical to
         :meth:`evaluate_model` on each row's mapping; this is the one
         population pricing path (:meth:`evaluate_model_batch` adapts
         mapping lists onto it).
@@ -662,38 +640,18 @@ class CostModel:
         pairs = model_statics(model)
         dims_matrix = _model_dims_matrix(model)
         engine = self.vector_engine()
-        layer_slots = np.array(
-            [engine.statics_slot(statics) for _, statics in pairs], dtype=np.int64
-        )
+        layer_slots = [engine.statics_slot(statics) for _, statics in pairs]
         layer_names = tuple(layer.name for layer, _ in pairs)
         layer_counts = tuple(layer.count for layer, _ in pairs)
         num_layers = len(pairs)
         num_designs = len(design_matrix)
-        # Statics identity in fingerprints uses the *cache's* token table
-        # (LRUCache.tokens), not the engine's slot numbering: evaluators
-        # sharing one warm cache through adopt_cache then agree on every
-        # token by construction, preserving adopt_cache's contract that the
-        # statics are part of the cache key, and the table's references pin
-        # each statics object for the cache's lifetime so a token is never
-        # reissued.
-        tokens = self._cache.tokens
-        layer_tokens = np.array(
-            [
-                tokens.setdefault(statics, len(tokens))
-                for _, statics in pairs
-            ],
-            dtype=np.int64,
-        )
 
+        # Row layout: the layer's statics slot, then 14 genes per level
+        # with the tiles clipped against the layer's dimensions.
         num_levels = design_matrix.shape[1] // GENES_PER_LEVEL
-        # The last two columns carry the bandwidth float bit patterns so a
-        # row's bytes fingerprint the *full* composite cache key — same
-        # contract as the tuple keys, which include the statics and both
-        # bandwidths — and calls with different bandwidths can never alias
-        # in the LRU.
-        width = 1 + GENES_PER_LEVEL * num_levels + 2
+        width = 1 + GENES_PER_LEVEL * num_levels
         work = np.empty((num_designs * num_layers, width), dtype=np.int64)
-        work[:, 0] = np.tile(layer_tokens, num_designs)
+        work[:, 0] = np.tile(layer_slots, num_designs)
         parent = dims_matrix[None, :, :]
         for level in range(num_levels):
             src = level * GENES_PER_LEVEL
@@ -706,84 +664,42 @@ class CostModel:
             )
             work[:, dst + 8:dst + 14] = clipped.reshape(-1, 6)
             parent = clipped
-        work[:, width - 2] = np.float64(noc_bandwidth).view(np.int64)
-        work[:, width - 1] = np.float64(dram_bandwidth).view(np.int64)
 
-        # Row reuse is resolved on raw row *bytes*: the statics token in
-        # column 0 keeps same-gene rows of different layer shapes apart, so
-        # a row's bytes are a faithful fingerprint of its composite cache
-        # key, and the cost per (member, layer) row is one bytes slice plus
-        # one dict probe — composite tuple keys are never built on this
-        # path (the engine's scalar fallback builds them on demand).
-        # Sharing a cache with the tuple-keyed scalar paths keys past them
-        # harmlessly (rows are pure functions of their key either way).
-        # Hit/miss totals match the sequential path (first occurrence of an
-        # unknown row is the miss, later occurrences are hits).
+        # Rows are deduplicated by raw bytes within the call: the statics
+        # slot in column 0 keeps same-gene rows of different layer shapes
+        # apart, so equal bytes mean equal reports.  Composite tuple keys
+        # are never built on this path (the engine's scalar fallback builds
+        # them on demand).
         raw = work.tobytes()
         step = width * 8
-        cache = self._cache
-        cache_on = cache.maxsize > 0
-        maxsize = cache.maxsize
-        data = cache.data
-        hits = misses = 0
-        entries: List = [None] * (num_designs * num_layers)
+        entries: List[int] = [0] * (num_designs * num_layers)
         pending: Dict[bytes, int] = {}
         pending_positions: List[int] = []
         for index in range(num_designs * num_layers):
             fingerprint = raw[index * step : index * step + step]
-            slot = pending.get(fingerprint)
-            if slot is not None:
-                # Sequential evaluation would have resolved the first
-                # occurrence by now, so this lookup counts as a hit.
-                if cache_on:
-                    hits += 1
-                entries[index] = slot
-                continue
-            if cache_on:
-                value = data.get(fingerprint)
-                if value is not None:
-                    hits += 1
-                    entries[index] = value
-                    continue
-            pending[fingerprint] = len(pending_positions)
-            entries[index] = len(pending_positions)
-            pending_positions.append(index)
+            entry = pending.get(fingerprint)
+            if entry is None:
+                entry = pending[fingerprint] = len(pending_positions)
+                pending_positions.append(index)
+            entries[index] = entry
 
-        values: List[Optional[tuple]] = []
-        if pending_positions:
-            positions = np.array(pending_positions, dtype=np.int64)
-            values = engine.evaluate_packed(
-                _WorkRowView(
-                    work,
-                    pending_positions,
-                    {
-                        token: statics
-                        for token, (_, statics) in zip(
-                            layer_tokens.tolist(), pairs
-                        )
-                    },
-                ),
-                work[positions, 1:width - 2],
-                np.tile(layer_slots, num_designs)[positions],
-                noc_bandwidth,
-                dram_bandwidth,
-            )
-            if cache_on:
-                misses += len(pending_positions)
-                for fingerprint, slot in pending.items():
-                    data[fingerprint] = values[slot]
-                    if len(data) > maxsize:
-                        data.popitem(last=False)
-        if cache_on:
-            cache.hits += hits
-            cache.misses += misses
+        unique = work[np.array(pending_positions, dtype=np.int64)]
+        statics_of_slot = {
+            slot: statics for slot, (_, statics) in zip(layer_slots, pairs)
+        }
+        values = engine.evaluate_packed(
+            _WorkRowView(unique, statics_of_slot),
+            unique[:, 1:],
+            unique[:, 0],
+            noc_bandwidth,
+            dram_bandwidth,
+        )
 
         performances: List[ModelPerformance] = []
         for design_index in range(num_designs):
             base = design_index * num_layers
             resolved = tuple(
-                values[entry] if type(entry) is int else entry
-                for entry in entries[base : base + num_layers]
+                values[entry] for entry in entries[base : base + num_layers]
             )
             performances.append(
                 _assemble_performance(
@@ -910,33 +826,26 @@ class _WorkRowView:
     for the whole batch.
     """
 
-    __slots__ = ("_work", "_positions", "_statics_of_token")
+    __slots__ = ("_work", "_statics_of_slot")
 
-    def __init__(
-        self, work, positions, statics_of_token
-    ):
+    def __init__(self, work, statics_of_slot):
         self._work = work
-        self._positions = positions
-        self._statics_of_token = statics_of_token
+        self._statics_of_slot = statics_of_slot
 
     def __len__(self) -> int:
-        return len(self._positions)
+        return len(self._work)
 
     def __getitem__(self, index: int):
-        genes = self._work[self._positions[index]].tolist()
-        # Row layout: statics token, 14 genes per level, two bandwidth
-        # bit-pattern columns.
-        num_levels = (len(genes) - 3) // GENES_PER_LEVEL
+        genes = self._work[index].tolist()
+        # Row layout: statics slot, then 14 genes per level.
         key = tuple(
             (
                 (genes[base], genes[base + 1], tuple(genes[base + 2:base + 8])),
                 tuple(genes[base + 8:base + 14]),
             )
-            for base in range(
-                1, 1 + num_levels * GENES_PER_LEVEL, GENES_PER_LEVEL
-            )
+            for base in range(1, len(genes), GENES_PER_LEVEL)
         )
-        return self._statics_of_token[genes[0]], key
+        return self._statics_of_slot[genes[0]], key
 
 
 def _resolve_mapping(

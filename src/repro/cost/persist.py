@@ -187,9 +187,7 @@ class PersistentLayerCache:
     :meth:`flush` — which the cost models call once per evaluation pass,
     emitting the whole batch as a single ``O_APPEND`` write — and
     :meth:`close` additionally rewrites the index sidecar atomically.  A
-    closed cache transparently reopens on the next lookup, so sharing one
-    instance across sweep jobs (via ``adopt_cache``) is safe even when a
-    finished job closes its evaluator.
+    closed cache transparently reopens on the next lookup.
 
     Flushes are not fsynced: the store is a rebuildable, digest-verified
     accelerator, so a row lost to a crash is simply priced again.

@@ -161,25 +161,6 @@ class JobSpec:
         )
 
     @property
-    def evaluator_cache_key(self) -> Tuple:
-        """Jobs with equal keys can share one warm layer-report cache.
-
-        Per-layer cost reports are pure functions of (layer statics,
-        clipped mapping, platform bandwidths) — independent of the
-        objective — so this is :attr:`framework_key` minus the objective:
-        the sweep runner hands one warm cache to every objective's
-        framework for the same model x platform x constraint combination.
-        """
-        return (
-            self.model,
-            self.platform,
-            self.fixed_hw_style,
-            self.buffer_allocation,
-            self.engine,
-            self.backend,
-        )
-
-    @property
     def scheme_label(self) -> str:
         """Column label in the rendered tables."""
         if self.scheme is not None:

@@ -241,24 +241,28 @@ class ResultStore:
         finally:
             os.close(descriptor)
 
-    def _scan(self) -> Tuple[List[Tuple[int, str, dict]], List[Tuple[int, str]]]:
+    def _scan(
+        self,
+    ) -> Tuple[List[Tuple[int, bytes, dict]], List[Tuple[int, bytes]]]:
         """Parse the store without side effects.
 
         Returns ``(good, corrupt)``: well-formed records as ``(line_number,
         raw_line, parsed)`` triples and undecodable lines as
-        ``(line_number, raw_line)`` pairs, both in file order.
+        ``(line_number, raw_line)`` pairs, both in file order.  Lines stay
+        raw bytes and are decoded one at a time, so a line that is not
+        valid UTF-8 is just another corrupt line.
         """
         if not self.path.exists():
             return [], []
-        good: List[Tuple[int, str, dict]] = []
-        corrupt: List[Tuple[int, str]] = []
-        for number, line in enumerate(self.path.read_text().splitlines(), 1):
+        good: List[Tuple[int, bytes, dict]] = []
+        corrupt: List[Tuple[int, bytes]] = []
+        for number, line in enumerate(self.path.read_bytes().splitlines(), 1):
             stripped = line.strip()
             if not stripped:
                 continue
             try:
-                good.append((number, line, json.loads(stripped)))
-            except json.JSONDecodeError:
+                good.append((number, line, json.loads(stripped.decode())))
+            except (UnicodeDecodeError, json.JSONDecodeError):
                 corrupt.append((number, line))
         return good, corrupt
 
@@ -285,7 +289,7 @@ class ResultStore:
             )
         return [record for _, _, record in good]
 
-    def _quarantine(self, corrupt: List[Tuple[int, str]]) -> int:
+    def _quarantine(self, corrupt: List[Tuple[int, bytes]]) -> int:
         """Copy undecodable lines into the ``.corrupt`` side file (deduped).
 
         Returns how many lines were newly quarantined; lines already in the
@@ -294,11 +298,11 @@ class ResultStore:
         """
         known = set()
         if self.corrupt_path.exists():
-            known = set(self.corrupt_path.read_text().splitlines())
+            known = set(self.corrupt_path.read_bytes().splitlines())
         fresh = [line for _, line in corrupt if line not in known]
         if fresh:
-            with self.corrupt_path.open("a") as handle:
-                handle.write("".join(line + "\n" for line in fresh))
+            with self.corrupt_path.open("ab") as handle:
+                handle.write(b"".join(line + b"\n" for line in fresh))
         return len(fresh)
 
     def verify(self) -> dict:
@@ -342,7 +346,7 @@ class ResultStore:
         if corrupt:
             self._quarantine(corrupt)
             replace_atomically(
-                self.path, "".join(line + "\n" for _, line, _ in good).encode()
+                self.path, b"".join(line + b"\n" for _, line, _ in good)
             )
         return {
             "path": str(self.path),
@@ -560,20 +564,13 @@ class SweepRunner:
                 }
             )
         # Frameworks are shared across jobs and closed as soon as the last
-        # job needing them has run, bounding memory on large sweeps.  Warm
-        # layer-report caches are shared one level wider — across
-        # objectives with the same model x platform x constraint x engine —
-        # because per-layer costs are objective-independent, so a later job
-        # starts with every layer the earlier jobs already priced.
+        # job needing them has run, bounding memory on large sweeps.
         last_use: Dict[tuple, int] = {}
-        cache_last_use: Dict[tuple, int] = {}
         for position, spec in enumerate(jobs):
             last_use[spec.framework_key] = position
-            cache_last_use[spec.evaluator_cache_key] = position
 
         outcomes: List[Outcome] = []
         frameworks: Dict[tuple, object] = {}
-        shared_caches: Dict[tuple, object] = {}
         try:
             for position, spec in enumerate(jobs):
                 if self._interrupt is not None:
@@ -589,9 +586,7 @@ class SweepRunner:
                 elif spec.job_id in quarantined:
                     self._say(f"{prefix} skip (quarantined): {spec.job_id}")
                 else:
-                    search = self._run_job(
-                        spec, position, prefix, frameworks, shared_caches
-                    )
+                    search = self._run_job(spec, position, prefix, frameworks)
                     if search is not None:
                         completed[spec.job_id] = search
                         outcomes.append((spec, search))
@@ -601,8 +596,6 @@ class SweepRunner:
                     framework = frameworks.pop(spec.framework_key, None)
                     if framework is not None:
                         framework.close()
-                if cache_last_use[spec.evaluator_cache_key] == position:
-                    shared_caches.pop(spec.evaluator_cache_key, None)
         finally:
             # Close every shared pool even when a framework's own close
             # raises (e.g. a pool broken by a killed worker) — the
@@ -622,7 +615,6 @@ class SweepRunner:
         position: int,
         prefix: str,
         frameworks: Dict[tuple, object],
-        shared_caches: Dict[tuple, object],
     ) -> Optional[AnyResult]:
         """Run one job with retries; None means the job was quarantined.
 
@@ -639,7 +631,7 @@ class SweepRunner:
         for attempt in range(1, attempts + 1):
             start = time.perf_counter()
             try:
-                framework = self._framework_for(spec, frameworks, shared_caches)
+                framework = self._framework_for(spec, frameworks)
                 search, extra, cache_line = self._supervised_search(
                     spec, framework, position, attempt
                 )
@@ -799,18 +791,12 @@ class SweepRunner:
             raise box["error"]
         return box["result"]
 
-    def _framework_for(
-        self,
-        spec: JobSpec,
-        frameworks: Dict[tuple, object],
-        shared_caches: Dict[tuple, object],
-    ):
+    def _framework_for(self, spec: JobSpec, frameworks: Dict[tuple, object]):
         """Fetch (or build) the shared framework for a spec."""
         framework = frameworks.get(spec.framework_key)
         if framework is None:
             framework = build_framework(spec, self.settings)
             frameworks[spec.framework_key] = framework
-            self._share_layer_cache(spec, framework, shared_caches)
             if self.settings.fault_plan is not None:
                 framework.evaluator.fault_plan = self.settings.fault_plan
         return framework
@@ -854,22 +840,6 @@ class SweepRunner:
             return
         seed = zlib.crc32(spec.job_id.encode()) + attempt
         time.sleep(base * (1.0 + Random(seed).random()))
-
-    def _share_layer_cache(
-        self, spec: JobSpec, framework, shared_caches: Dict[tuple, object]
-    ) -> None:
-        """Hand a freshly built framework the warm cache of its cache key."""
-        if not self.settings.use_cache:
-            return
-        engine = spec.engine if spec.engine is not None else self.settings.engine
-        if engine == "reference":
-            return  # the reference path never consults the cache
-        key = spec.evaluator_cache_key
-        cache = shared_caches.get(key)
-        if cache is None:
-            shared_caches[key] = framework.evaluator.cost_model.layer_cache
-        else:
-            framework.evaluator.cost_model.adopt_cache(cache)
 
     # -- graceful shutdown ---------------------------------------------------
 

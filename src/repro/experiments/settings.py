@@ -61,7 +61,8 @@ class ExperimentSettings:
     """Knobs shared by the Fig. 5 / Fig. 6 / Fig. 7 harnesses.
 
     ``use_cache``, ``workers`` and ``engine`` configure the evaluation
-    engine of every search the harness runs: memoization on/off, the
+    engine of every search the harness runs: per-design memoization on/off
+    (the vector engine's population path uses no cache either way), the
     optional process-pool width for batched population evaluation, and the
     vector/fast/reference engine selector (results are bit-identical for
     every combination).  A job spec may pin its own engine, which

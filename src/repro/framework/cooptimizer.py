@@ -67,10 +67,12 @@ class CoOptimizationFramework:
         Buffer allocation strategy forwarded to the evaluator
         (``"exact"`` or ``"fill"``).
     use_cache / workers / engine:
-        Evaluation-engine knobs forwarded to the evaluator: memoization
-        on/off, process-pool width for batched population evaluation and
-        the vector/fast/reference engine selector (``"vector"`` by
-        default).  Every combination produces bit-identical results.
+        Evaluation-engine knobs forwarded to the evaluator: per-design
+        memoization on/off (the vector engine's population path uses no
+        cache either way), process-pool width for batched population
+        evaluation and the vector/fast/reference engine selector
+        (``"vector"`` by default).  Every combination produces
+        bit-identical results.
     backend:
         Cost-backend selector forwarded to the evaluator (``"analytic"``
         by default; ``"zigzag"`` swaps in the independently coded

@@ -204,9 +204,13 @@ class DesignEvaluator:
         the L2 all of the area budget left over after PEs and L1s, which is
         the naive alternative used by the buffer-allocation ablation.
     use_cache:
-        When True (default) memoize whole-design and per-layer evaluations
-        behind bounded LRU caches.  Results are bit-identical either way;
-        the flag exists for benchmarking and debugging (``--no-cache``).
+        When True (default) per-design pricing (:meth:`evaluate_genome`,
+        :meth:`evaluate_mapping`, and the scalar engines' and non-analytic
+        backends' member loops) memoizes whole-design and per-layer
+        evaluations behind bounded LRU caches.  The vector engine's
+        gene-matrix path uses no cache either way.  Results are
+        bit-identical either way; the flag exists for benchmarking and
+        debugging (``--no-cache``).
     workers:
         Default process-pool width for :meth:`evaluate_matrix` (and its
         genome-list view :meth:`evaluate_population`).  ``None``/``1``
@@ -400,12 +404,13 @@ class DesignEvaluator:
         feed: rows must already be repaired (the tracker's
         :meth:`~repro.framework.search.SearchTracker.evaluate_matrix` does
         this with one vectorized pass).  Results are bit-identical to
-        ``[self.evaluate_genome(g) for g in matrix.to_genomes()]`` — the
-        row bytes *are* the flattened design cache key — but no per-member
-        ``Genome`` or ``Mapping`` object is ever constructed: design-level
-        reuse works on raw row fingerprints, misses feed the cost model's
-        packed matrix entry directly, and genomes on the returned results
-        materialize lazily.
+        ``[self.evaluate_genome(g) for g in matrix.to_genomes()]`` — but no
+        per-member ``Genome`` or ``Mapping`` object is ever constructed:
+        rows repeated within the call are priced once (deduplicated on
+        their raw bytes), the unique rows feed the cost model's packed
+        matrix entry directly, and genomes on the returned results
+        materialize lazily.  The vector path reads and writes no cache:
+        the design and layer LRUs serve per-design pricing only.
         """
         count = len(matrix)
         if count == 0:
@@ -451,65 +456,50 @@ class DesignEvaluator:
         raw = data.tobytes()
         step = data.shape[1] * 8
         fingerprints = [raw[i * step : i * step + step] for i in range(count)]
-        cache = self._design_cache
-        results: List[Optional[EvaluationResult]] = [None] * count
-        slots: List[Optional[int]] = [None] * count
+        # Rows repeated within the call are priced once; nothing is kept
+        # across calls.
+        slots: List[int] = [0] * count
         pending: dict = {}
-        miss_rows: List[int] = []
+        unique_rows: List[int] = []
         for position, fingerprint in enumerate(fingerprints):
             slot = pending.get(fingerprint)
-            if slot is not None:
-                if cache.maxsize > 0:
-                    cache.hits += 1
-                slots[position] = slot
-                continue
-            known = cache.get(fingerprint)
-            if known is not None:
-                results[position] = known
-                continue
-            pending[fingerprint] = len(miss_rows)
-            slots[position] = len(miss_rows)
-            miss_rows.append(position)
+            if slot is None:
+                slot = pending[fingerprint] = len(unique_rows)
+                unique_rows.append(position)
+            slots[position] = slot
 
-        miss_results: List[EvaluationResult] = []
-        if miss_rows:
-            miss_matrix = data[np.array(miss_rows, dtype=np.int64)]
-            performances = self.cost_model.evaluate_model_matrix(
-                self.model,
-                miss_matrix,
-                noc_bandwidth=self.platform.noc_bandwidth,
-                dram_bandwidth=self.platform.dram_bandwidth,
+        unique_matrix = data[np.array(unique_rows, dtype=np.int64)]
+        performances = self.cost_model.evaluate_model_matrix(
+            self.model,
+            unique_matrix,
+            noc_bandwidth=self.platform.noc_bandwidth,
+            dram_bandwidth=self.platform.dram_bandwidth,
+        )
+        if self.fixed_hardware is None and self.buffer_allocation == "exact":
+            unique_results = self._score_matrix_rows(
+                unique_matrix, unique_rows, fingerprints, performances
             )
-            if self.fixed_hardware is None and self.buffer_allocation == "exact":
-                miss_results = self._score_matrix_misses(
-                    miss_matrix, miss_rows, fingerprints, performances
+        else:
+            unique_results = [
+                self._score_performance(
+                    performance,
+                    pe_array=tuple(
+                        int(data[position, level * LEVEL_WIDTH])
+                        for level in range(matrix.num_levels)
+                    ),
+                    mapping_fingerprint=fingerprints[position],
                 )
-            else:
-                for position, performance in zip(miss_rows, performances):
-                    miss_results.append(
-                        self._score_performance(
-                            performance,
-                            pe_array=tuple(
-                                int(data[position, level * LEVEL_WIDTH])
-                                for level in range(matrix.num_levels)
-                            ),
-                            mapping_fingerprint=fingerprints[position],
-                        )
-                    )
-            for result, position in zip(miss_results, miss_rows):
-                cache.put(fingerprints[position], result)
-            for position, slot in enumerate(slots):
-                if slot is not None and results[position] is None:
-                    results[position] = miss_results[slot]
+                for position, performance in zip(unique_rows, performances)
+            ]
         return [
-            _with_row_genome(results[position], fingerprints[position])
-            for position in range(count)
+            _with_row_genome(unique_results[slot], fingerprint)
+            for slot, fingerprint in zip(slots, fingerprints)
         ]
 
-    def _score_matrix_misses(
+    def _score_matrix_rows(
         self,
-        miss_matrix: np.ndarray,
-        miss_rows: List[int],
+        unique_matrix: np.ndarray,
+        unique_rows: List[int],
         fingerprints: List[bytes],
         performances: List[ModelPerformance],
     ) -> List[EvaluationResult]:
@@ -532,9 +522,9 @@ class DesignEvaluator:
         bytes_per_element = self.bytes_per_element
         objective = self.objective
         objectives = self.objectives
-        num_levels = miss_matrix.shape[1] // LEVEL_WIDTH
+        num_levels = unique_matrix.shape[1] // LEVEL_WIDTH
         spatial_columns = [
-            miss_matrix[:, level * LEVEL_WIDTH].tolist()
+            unique_matrix[:, level * LEVEL_WIDTH].tolist()
             for level in range(num_levels)
         ]
         results: List[EvaluationResult] = []
@@ -583,7 +573,7 @@ class DesignEvaluator:
                 valid = True
                 violations = ()
             design = LazyRowMappingDesign.build(
-                hardware, fingerprints[miss_rows[index]], performance, area
+                hardware, fingerprints[unique_rows[index]], performance, area
             )
             result = object.__new__(EvaluationResult)
             result.__dict__.update(
@@ -682,9 +672,7 @@ class DesignEvaluator:
         whose search may still be running on a watchdog thread.
 
         A persistent cache tier is flushed and its index persisted; the
-        close is not terminal (the next lookup reopens the store), so
-        shutting one evaluator down never strands a tier shared with
-        other jobs through ``adopt_cache``.
+        close is not terminal (the next lookup reopens the store).
         """
         if self._pool is not None:
             self._pool.shutdown(wait=wait)

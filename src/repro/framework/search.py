@@ -7,8 +7,8 @@ genome view and the flat-vector view of the encoding, so any algorithm can
 be plugged in without touching the framework.  Population-based algorithms
 should prefer the batched views (:meth:`SearchTracker.evaluate_batch` /
 :meth:`SearchTracker.evaluate_vector_batch`): whole generations are scored
-in one evaluator call, which keeps the memoized evaluation engine hot and
-lets the evaluator fan the work out over worker processes.
+in one evaluator call, which prices them on the vector engine (repeated
+rows once) and lets the evaluator fan the work out over worker processes.
 """
 
 from __future__ import annotations

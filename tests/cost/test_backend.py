@@ -101,20 +101,6 @@ class TestZigZagPlumbing:
             assert a.latency == b.latency
             assert a.energy == b.energy
 
-    def test_adopt_cache_shares_warm_reports(self):
-        model = get_model("ncf")
-        mappings = _random_mappings(model, 4, seed=9)
-        warm = create_backend("zigzag")
-        warm.evaluate_model_batch(model, mappings, 64.0, 16.0)
-        before = warm.cache_stats
-        cold = create_backend("zigzag")
-        cold.adopt_cache(warm.layer_cache)
-        assert cold.layer_cache is warm.layer_cache
-        cold.evaluate_model_batch(model, mappings, 64.0, 16.0)
-        after = cold.cache_stats
-        assert after.misses == before.misses
-        assert after.hits > before.hits
-
     def test_vector_stats_has_every_standard_key(self):
         stats = create_backend("zigzag").vector_stats
         for key in (

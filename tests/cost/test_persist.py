@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cost.cache import LRUCache
 from repro.cost.maestro import CostModel
 from repro.cost.persist import (
     FORMAT_NAME,
@@ -374,16 +373,6 @@ class TestCostModelTiering:
         model.evaluate_layer(conv_layer, simple_mapping, NOC, DRAM)
         stats = model.vector_stats
         assert stats["l2_hits"] == stats["l2_misses"] == stats["l2_writes"] == 0
-
-    def test_adopt_cache_carries_the_tier(self, tmp_path):
-        donor = CostModel()
-        tier = PersistentLayerCache(tmp_path)
-        donor.attach_persistent_cache(tier)
-        adopter = CostModel()
-        adopter.adopt_cache(LRUCache(64))
-        donor.adopt_cache(adopter.layer_cache)
-        assert donor.layer_cache.tier is tier
-
 
 class TestFrameworkWarmRerun:
     def _search(self, model, platform, directory, seed=3, optimizer="(1+1)-es"):

@@ -103,20 +103,6 @@ class TestBatchMatchesScalar:
         for a, b in zip(from_mappings, from_parts):
             _assert_reports_identical(a, b)
 
-    def test_cache_counters_match_sequential_path(self):
-        model = get_model("ncf")
-        mappings = _random_mappings(model, 12, seed=5)
-        mappings = mappings + mappings[:4]  # duplicates within the batch
-        batch_model = CostModel()
-        scalar_model = CostModel()
-        batch_model.evaluate_model_batch(model, mappings, 64.0, 16.0)
-        for mapping in mappings:
-            scalar_model.evaluate_model(model, mapping, 64.0, 16.0)
-        assert batch_model.cache_stats.hits == scalar_model.cache_stats.hits
-        assert batch_model.cache_stats.misses == scalar_model.cache_stats.misses
-        assert batch_model.cache_stats.size == scalar_model.cache_stats.size
-
-
 class TestScalarFallbacks:
     @pytest.mark.parametrize("num_levels", [1, 3])
     def test_non_default_hierarchy_depths(self, num_levels):

@@ -173,6 +173,30 @@ class TestResultStore:
         assert store.repair()["removed_lines"] == 0
         assert path.read_text() == good_line
 
+    def test_non_utf8_line_is_corrupt_not_fatal(self, tmp_path, capsys):
+        path = tmp_path / "sweep.jsonl"
+        first = b'{"job_id": "a", "result": 1, "spec": {}}\n'
+        second = '{"job_id": "b", "result": "é", "spec": {}}\n'.encode()
+        damaged = b"\xff\xfe garbage"
+        path.write_bytes(first + damaged + b"\n" + second)
+        store = ResultStore(path)
+
+        report = store.verify()
+        assert report["records"] == 2
+        assert report["corrupt_line_numbers"] == [2]
+        assert repro_main(["experiments", "--verify-store", str(path)]) == 1
+        assert "1 corrupt line(s) at line 2" in capsys.readouterr().out
+        with pytest.warns(ResultStoreCorruption, match="1 undecodable"):
+            records = store.records()
+        assert [record["job_id"] for record in records] == ["a", "b"]
+
+        assert store.repair()["removed_lines"] == 1
+        # Good lines survive byte for byte; the damaged one is quarantined
+        # as the bytes it was, once.
+        assert path.read_bytes() == first + second
+        assert store.corrupt_path.read_bytes() == damaged + b"\n"
+        assert store.verify()["ok"]
+
     def test_failure_records_change_status_not_completed_ids(self, tmp_path):
         store = ResultStore(tmp_path / "sweep.jsonl")
         jobs = compile_fig5_jobs("edge", TINY, ("random",))
@@ -418,7 +442,6 @@ class TestEngineSelection:
             sampling_budget=30, engine="vector",
         )
         assert fast.framework_key != vector.framework_key
-        assert fast.evaluator_cache_key != vector.evaluator_cache_key
 
     @pytest.mark.parametrize("engine", ["vector", "fast", "reference"])
     def test_each_engine_runs_a_smoke_search_end_to_end(self, engine):
@@ -495,7 +518,6 @@ class TestBackendSelection:
         )
         assert analytic.job_id != zigzag.job_id
         assert analytic.framework_key != zigzag.framework_key
-        assert analytic.evaluator_cache_key != zigzag.evaluator_cache_key
 
     def test_runner_pins_non_default_settings_backend_into_job_ids(self):
         spec = JobSpec(
@@ -568,42 +590,30 @@ class TestBackendSelection:
 
 
 class TestCacheReuseAcrossJobs:
-    def test_layer_cache_is_shared_across_objectives(self, tmp_path):
-        # Same model/platform/seed with different objectives evaluates the
-        # same genomes, so the second job's layer lookups are all warm.
-        jobs = [
-            JobSpec(model="ncf", platform="edge", optimizer="random",
-                    sampling_budget=50, objective="latency"),
-            JobSpec(model="ncf", platform="edge", optimizer="random",
-                    sampling_budget=50, objective="energy"),
-        ]
-        store = ResultStore(tmp_path / "shared.jsonl")
-        runner = SweepRunner(jobs, settings=TINY, store=store)
-        runner.run()
-        records = store.records()
-        assert [record["cache"]["layer"]["hits"] for record in records][0] == 0
-        second = records[1]["cache"]["layer"]
-        assert second["hits"] > 0
-        assert second["hit_rate"] == 1.0
-
     def test_cache_statistics_are_recorded_per_search(self, tmp_path):
-        spec = JobSpec(
-            model="ncf", platform="edge", optimizer="digamma", sampling_budget=40
-        )
+        # The LRUs serve per-design pricing, so (1+1)-ES carries the
+        # design/layer counters; DiGamma's gene-matrix search carries the
+        # vector-engine section.
+        specs = [
+            JobSpec(model="ncf", platform="edge", optimizer=optimizer,
+                    sampling_budget=40)
+            for optimizer in ("(1+1)-es", "digamma")
+        ]
         store = ResultStore(tmp_path / "stats.jsonl")
-        SweepRunner([spec], settings=TINY, store=store).run()
-        record = store.records()[0]
+        SweepRunner(specs, settings=TINY, store=store).run()
+        per_design, matrix = store.records()
         for cache_name in ("design", "layer"):
-            stats = record["cache"][cache_name]
+            stats = per_design["cache"][cache_name]
             assert set(stats) == {"hits", "misses", "hit_rate"}
             assert stats["hits"] >= 0 and stats["misses"] > 0
-        assert {"design", "layer", "vector"} <= set(record["cache"])
-        assert "delta" not in record["cache"]
+        assert {"design", "layer", "vector"} <= set(matrix["cache"])
+        for record in (per_design, matrix):
+            assert "delta" not in record["cache"]
         # Cache-annotated stores stay resumable.
         resumed = SweepRunner(
-            [spec], settings=TINY, store=store, resume=True
+            specs, settings=TINY, store=store, resume=True
         ).run()
-        assert resumed[0][1].evaluations == 40
+        assert [outcome[1].evaluations for outcome in resumed] == [40, 40]
 
     def test_progress_lines_surface_cache_hit_rates(self):
         spec = JobSpec(

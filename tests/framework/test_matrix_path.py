@@ -4,12 +4,12 @@ Contracts pinned here:
 
 * ``DesignEvaluator.evaluate_matrix`` is bit-identical to evaluating the
   same (repaired) genomes one by one, under every engine selector;
-* the design LRU and the layer LRU reuse survivors and unchanged
-  (member, layer) rows across generations without changing any result,
-  with their counters surfacing in the evaluator's cache stats;
-* the layer LRU's row fingerprints carry the full composite key (statics
-  identity and both bandwidths), so rows never alias across layer shapes
-  or bandwidths;
+* the vector path reads and writes neither the design LRU nor the layer
+  LRU (pool workers run the same path), while per-design searches still
+  use them, and results match a ``use_cache=False`` run in-process and
+  with workers;
+* rows are deduplicated within a call only, so nothing aliases across
+  layer shapes, models or bandwidths;
 * the tracker's matrix views share the genome views' budget semantics; and
 * results carry lazily materialized genomes/mappings that match the
   eagerly built ones.
@@ -27,8 +27,11 @@ from repro.encoding.genome_matrix import (
     repaired_matrix,
 )
 from repro.encoding.repair import repaired_copy
+from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.framework.evaluator import DesignEvaluator, RowGenomeResult
 from repro.framework.search import SearchTracker
+from repro.optim.registry import get_optimizer
+from repro.serialization import design_to_dict
 from repro.workloads.registry import get_model
 
 PLATFORMS = pytest.mark.parametrize("platform", [EDGE, CLOUD], ids=["edge", "cloud"])
@@ -170,25 +173,6 @@ class TestCrossGenerationReuse:
             ):
                 _assert_results_identical(a, b)
 
-    def test_member_and_row_reuse_counters(self, resnet18):
-        evaluator = DesignEvaluator(model=resnet18, platform=EDGE)
-        space, genomes, matrix = _repaired_population(evaluator, 15, seed=41)
-        evaluator.evaluate_matrix(matrix)
-        first = evaluator.design_cache_stats
-        assert first.requests == 15
-        assert first.hits == len(matrix) - len(
-            {row.tobytes() for row in matrix.data}
-        )
-        layers_before = evaluator.layer_cache_stats
-
-        second = _next_generation(genomes, space, survivors=5, dim="S")
-        evaluator.evaluate_matrix(second)
-        design = evaluator.design_cache_stats.since(first)
-        layers = evaluator.layer_cache_stats.since(layers_before)
-        assert design.requests == 15
-        assert design.hits >= 5  # elitist survivors
-        assert layers.hits > 0  # unchanged (member, layer) rows of children
-
     def test_disabled_cache_keeps_counters_at_zero(self, ncf):
         evaluator = DesignEvaluator(model=ncf, platform=EDGE, use_cache=False)
         _, _, matrix = _repaired_population(evaluator, 10, seed=43)
@@ -201,24 +185,25 @@ class TestCrossGenerationReuse:
 
     def test_cache_clear_drops_memoized_results(self, ncf):
         evaluator = DesignEvaluator(model=ncf, platform=EDGE)
-        _, _, matrix = _repaired_population(evaluator, 10, seed=47)
-        want = evaluator.evaluate_matrix(matrix)
+        space, genomes, _ = _repaired_population(evaluator, 10, seed=47)
+        genomes = [repaired_copy(genome, space) for genome in genomes]
+        want = [evaluator.evaluate_genome(genome) for genome in genomes]
         evaluator.cache_clear()
         stats = evaluator.cache_stats
         assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
-        unique = len({row.tobytes() for row in matrix.data})
-        got = evaluator.evaluate_matrix(matrix)
+        unique = len({genome.cache_key() for genome in genomes})
+        got = [evaluator.evaluate_genome(genome) for genome in genomes]
         assert evaluator.design_cache_stats.misses == unique
         for a, b in zip(got, want):
             _assert_results_identical(a, b)
 
 
 class TestRowFingerprints:
-    def test_cross_model_cache_adoption_cannot_alias(self, ncf):
-        # Fingerprint identity comes from the cache's own token table, so
-        # an evaluator adopting a warm cache that has seen *other* models'
-        # layers numbers its statics consistently with the donor and can
-        # never reuse another layer shape's rows.
+    def test_cross_model_rows_cannot_alias(self, ncf):
+        # Column 0 of a work row is the layer's slot in the engine's
+        # statics table, which grows as models come and go; a cost model
+        # that has priced other models' layers must price a model exactly
+        # like a fresh one.
         from repro.cost.maestro import CostModel
         from repro.encoding.genome import GenomeSpace
 
@@ -232,21 +217,18 @@ class TestRowFingerprints:
                 space,
             ).data
 
-        donor = CostModel()
-        donor.evaluate_model_matrix(ncf, rows(ncf, 73), 64.0, 16.0)
-        donor.evaluate_model_matrix(other, rows(other, 73), 64.0, 16.0)
-        adopter = CostModel()
-        adopter.adopt_cache(donor.layer_cache)
-        adopted = adopter.evaluate_model_matrix(other, rows(other, 73), 64.0, 16.0)
+        shared = CostModel()
+        shared.evaluate_model_matrix(ncf, rows(ncf, 73), 64.0, 16.0)
+        shared.evaluate_model_matrix(other, rows(other, 73), 64.0, 16.0)
+        reused = shared.evaluate_model_matrix(other, rows(other, 73), 64.0, 16.0)
         fresh = CostModel().evaluate_model_matrix(other, rows(other, 73), 64.0, 16.0)
-        for a, b in zip(adopted, fresh):
+        for a, b in zip(reused, fresh):
             assert a.latency == b.latency
             assert a.energy == b.energy
 
-    def test_fingerprints_include_the_bandwidths(self, ncf):
-        # The row fingerprint must carry the full composite-key context:
-        # the same rows priced under different bandwidths may never alias
-        # in the layer LRU.
+    def test_bandwidths_never_alias(self, ncf):
+        # The same rows priced under different bandwidths by one cost
+        # model must never reuse each other's reports.
         from repro.cost.maestro import CostModel
 
         evaluator = DesignEvaluator(model=ncf, platform=EDGE)
@@ -326,3 +308,77 @@ class TestWorkerPoolMatrixPath:
                 _assert_results_identical(a, b)
         finally:
             pooled.shutdown()
+
+
+def _search_with_stats(
+    model, name, num_levels, objectives, workers, use_cache, budget=120
+):
+    """One seeded search: its outcome and its in-process LRU counters."""
+    framework = CoOptimizationFramework(
+        model,
+        EDGE,
+        num_levels=num_levels,
+        workers=workers,
+        use_cache=use_cache,
+        objectives=objectives,
+    )
+    try:
+        if objectives:
+            result = framework.pareto_search(
+                get_optimizer(name), sampling_budget=budget, seed=4
+            )
+            members = result.front
+            history = None
+        else:
+            result = framework.search(
+                get_optimizer(name), sampling_budget=budget, seed=4
+            )
+            members = (result.best,)
+            history = result.history
+        design = framework.evaluator.design_cache_stats
+        layer = framework.evaluator.layer_cache_stats
+    finally:
+        framework.close()
+    outcome = [
+        (member.fitness, member.objective_vector, design_to_dict(member.design))
+        for member in members
+    ]
+    return (outcome, history), design, layer
+
+
+#: Gene-matrix searches: (optimizer, hierarchy depth, Pareto objectives).
+_MATRIX_SEARCHES = [
+    ("digamma", 2, None),
+    ("stdga", 2, None),
+    ("nsga2", 3, "latency,energy,area"),
+]
+
+
+class TestGeneMatrixPathSkipsLRUs:
+    @pytest.mark.parametrize("workers", [None, 2], ids=["in-process", "workers2"])
+    @pytest.mark.parametrize(
+        "name, num_levels, objectives",
+        _MATRIX_SEARCHES,
+        ids=[f"{name}-L{levels}" for name, levels, _ in _MATRIX_SEARCHES],
+    )
+    def test_matrix_searches_skip_the_lrus_and_match_an_uncached_run(
+        self, tiny_model, name, num_levels, objectives, workers
+    ):
+        args = (tiny_model, name, num_levels, objectives, workers)
+        cached, design, layer = _search_with_stats(*args, use_cache=True)
+        uncached, _, _ = _search_with_stats(*args, use_cache=False)
+        assert design.requests == 0 and design.size == 0
+        assert layer.requests == 0 and layer.size == 0
+        assert cached == uncached
+
+    def test_per_design_search_still_records_lru_hits(self, tiny_model):
+        # (1+1)-ES prices one candidate at a time on the per-design path;
+        # once its step size shrinks it re-proposes known designs.
+        args = (tiny_model, "(1+1)-es", 2, None, None)
+        cached, design, layer = _search_with_stats(
+            *args, use_cache=True, budget=400
+        )
+        uncached, _, _ = _search_with_stats(*args, use_cache=False, budget=400)
+        assert design.hits > 0
+        assert layer.hits > 0
+        assert cached == uncached

@@ -46,6 +46,17 @@ class TestSearch:
         assert "layer cache:" in output
         assert "evals/s" in output
 
+    def test_search_with_workers_reports_per_design_caches(self, capsys):
+        # Population pricing uses no LRU in-process or in the workers, so
+        # the report must not claim the stats live in the workers.
+        exit_code = main(
+            ["search", "--model", "ncf", "--budget", "60", "--workers", "2"]
+        )
+        assert exit_code == 0
+        output = capsys.readouterr().out
+        assert "per-design pricing only" in output
+        assert "per-worker" not in output
+
     def test_search_no_cache_flag(self, capsys):
         exit_code = main(["search", "--model", "ncf", "--budget", "60", "--no-cache"])
         assert exit_code == 0

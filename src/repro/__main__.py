@@ -290,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "interrupted search resumes bit-identically "
                              "from its last completed generation on re-run "
                              "(see repro.framework.checkpoint)")
-    search.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
+    search.add_argument("--checkpoint-every", type=runner_module.positive_int,
+                        default=1, metavar="N",
                         help="save a checkpoint every N generation "
                              "boundaries (default: 1)")
 

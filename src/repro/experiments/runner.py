@@ -810,15 +810,15 @@ class SweepRunner:
         and a crashed one may hold a broken worker pool, so the framework
         is shut down without waiting and never reused.  Its checkpoint
         sessions are closed first: the abandoned thread must not overwrite
-        the checkpoint the retry is about to resume from.  (The close race
-        is benign — at most one already-in-flight save can land, and any
-        generation-boundary checkpoint of the same search resumes to the
-        same bit-identical end state.)
+        the checkpoint the retry is about to resume from, nor clear it
+        when it completes.  ``close()`` waits for the session's in-flight
+        background write, so once it returns no write of the abandoned
+        attempt can land.
         """
         framework = frameworks.pop(spec.framework_key, None)
         if framework is None:
             return
-        for session in getattr(framework, "checkpoint_sessions", ()):
+        for session in list(getattr(framework, "checkpoint_sessions", ())):
             try:
                 session.close()
             except Exception:
@@ -979,6 +979,19 @@ def full_outcomes(
 # -- shared CLI plumbing -------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """Argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     """Args shared by the figure harness CLIs and ``repro experiments``."""
     parser.add_argument(
@@ -1064,7 +1077,7 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="checkpoint cadence in generation boundaries (default: 1; "

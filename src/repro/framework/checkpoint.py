@@ -31,10 +31,16 @@ carrying its SHA-1 digest, written to a temporary file of its own, fsynced
 and atomically ``os.replace``d into place
 (:func:`repro.durable.replace_atomically`) — a crash mid-save leaves the
 previous checkpoint intact, and concurrent saves of one key never collide.
-Loads verify format, version and digest; anything wrong quarantines the
-file to ``<name>.corrupt`` with a :class:`CheckpointCorruption` warning and
-the search starts fresh — a corrupt checkpoint can cost progress, never
-correctness.
+A live search writes behind its own progress: :class:`CheckpointSession`
+encodes each boundary's checkpoint on the search thread and publishes the
+bytes on a one-slot background writer while the next generation computes.
+Boundary N is durable before boundary N+1 begins, before
+``SearchInterrupted`` is raised and before the search returns, so a hard
+crash *during* a generation resumes from at most one boundary earlier than
+a synchronous save would allow.  Loads verify format, version and digest;
+anything wrong quarantines the file to ``<name>.corrupt`` with a
+:class:`CheckpointCorruption` warning and the search starts fresh — a
+corrupt checkpoint can cost progress, never correctness.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -184,7 +191,15 @@ class CheckpointStore:
         return self.path.with_name(self.path.name + ".corrupt")
 
     def save(self, checkpoint: SearchCheckpoint) -> None:
-        """Atomically persist a checkpoint (replaces any previous one)."""
+        """Atomically persist a checkpoint (replaces any previous one).
+
+        Durable when it returns: the composition of :meth:`encode` and
+        :meth:`publish`.
+        """
+        self.publish(self.encode(checkpoint))
+
+    def encode(self, checkpoint: SearchCheckpoint) -> bytes:
+        """The complete file contents of a checkpoint: header + payload."""
         payload = json.dumps(checkpoint.to_dict(), sort_keys=True).encode()
         header = json.dumps(
             {
@@ -195,7 +210,10 @@ class CheckpointStore:
             },
             sort_keys=True,
         ).encode()
-        data = header + b"\n" + payload + b"\n"
+        return header + b"\n" + payload + b"\n"
+
+    def publish(self, data: bytes) -> None:
+        """Atomically replace the checkpoint file with encoded ``data``."""
         self.directory.mkdir(parents=True, exist_ok=True)
         replace_atomically(self.path, data)
 
@@ -207,8 +225,6 @@ class CheckpointStore:
         caller starts the search fresh, which is always correct, merely
         slower.
         """
-        if not self.path.exists():
-            return None
         try:
             raw = self.path.read_bytes()
             head, _, rest = raw.partition(b"\n")
@@ -229,6 +245,10 @@ class CheckpointStore:
             if hashlib.sha1(payload).hexdigest() != header["digest"]:
                 raise ValueError("payload digest mismatch")
             return SearchCheckpoint.from_dict(json.loads(payload))
+        except FileNotFoundError:
+            # Never written, or removed by a concurrent clear(): no
+            # checkpoint, and nothing to quarantine.
+            return None
         except Exception as error:
             self._quarantine(error)
             return None
@@ -265,10 +285,20 @@ class CheckpointSession:
     regardless) and assembles the full :class:`SearchCheckpoint` from the
     rng, the optimizer's state dict and the tracker's bookkeeping.
 
-    ``close()`` makes every further save a no-op.  The sweep runner closes
-    the sessions of a discarded framework so a timed-out search still
-    running on its abandoned watchdog thread can no longer touch the
-    checkpoint file its retry is resuming from.
+    Saves are write-behind: :meth:`save` encodes the checkpoint on the
+    search thread (so the bytes are a consistent snapshot of the boundary)
+    and hands them to a one-slot background writer, which stages, fsyncs
+    and publishes them while the next generation computes; writes land in
+    boundary order.  :meth:`wait` blocks until the in-flight write is
+    published and re-raises its error on the calling thread; the tracker
+    calls it at the top of every boundary, so boundary N-1 is durable
+    before boundary N begins.
+
+    ``close()`` makes every further save a no-op and waits for the
+    in-flight write, so no write of the session lands after it returns.
+    The sweep runner closes the sessions of a discarded framework so a
+    timed-out search still running on its abandoned watchdog thread can no
+    longer touch the checkpoint file its retry is resuming from.
     """
 
     def __init__(
@@ -287,27 +317,89 @@ class CheckpointSession:
         #: Checkpoints written by this session (observability for tests).
         self.saves = 0
         self.closed = False
+        # Serializes save/close/wait across the search thread and a closer.
+        self._lock = threading.Lock()
+        self._writer: Optional[threading.Thread] = None
+        self._error: Optional[BaseException] = None
 
     def due(self, generation: int) -> bool:
         """True when the cadence calls for a save at this boundary."""
         return generation % self.checkpoint_every == 0
 
     def save(self, tracker, optimizer_state: Dict[str, Any]) -> None:
-        """Capture and persist the search state at the current boundary."""
-        if self.closed:
-            return
-        checkpoint = SearchCheckpoint(
-            generation=tracker.generation,
-            rng_state=rng_state_to_jsonable(self.rng),
-            optimizer_state=dict(optimizer_state),
-            tracker_state=snapshot_tracker_state(tracker),
-        )
-        self.store.save(checkpoint)
-        self.saves += 1
+        """Snapshot the current boundary and start its background write."""
+        with self._lock:
+            if self.closed:
+                return
+            data = self.store.encode(
+                SearchCheckpoint(
+                    generation=tracker.generation,
+                    rng_state=rng_state_to_jsonable(self.rng),
+                    optimizer_state=dict(optimizer_state),
+                    tracker_state=snapshot_tracker_state(tracker),
+                )
+            )
+            self._drain()
+            self._writer = threading.Thread(
+                target=self._publish, args=(data,), name="checkpoint-writer"
+            )
+            self._writer.start()
+            self.saves += 1
+
+    def wait(self) -> None:
+        """Block until the in-flight write is published; raise its error."""
+        with self._lock:
+            self._drain()
+
+    def complete(self) -> None:
+        """Close the session of a search that ran to its end.
+
+        Waits for the last write, then clears the checkpoint — unless the
+        session was already closed by someone else (the sweep runner
+        abandoning a timed-out attempt), whose retry may be resuming from
+        that very file.
+        """
+        with self._lock:
+            self._drain()
+            if self.closed:
+                return
+            self.closed = True
+            self.store.clear()
 
     def close(self) -> None:
-        """Disarm the session; subsequent saves are ignored."""
-        self.closed = True
+        """Disarm the session; subsequent saves are ignored.
+
+        Waits for the in-flight write, so nothing of this session lands
+        after ``close()`` returns.  A write error stays pending for the
+        search thread's next :meth:`wait`.
+        """
+        with self._lock:
+            self.closed = True
+            self._join()
+
+    def _join(self) -> None:
+        """Wait for the in-flight write, if any (caller holds the lock)."""
+        if self._writer is not None:
+            self._writer.join()
+            self._writer = None
+
+    def _drain(self) -> None:
+        """:meth:`_join`, then re-raise the write's error."""
+        self._join()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def _publish(self, data: bytes) -> None:
+        """Writer-thread body: publish encoded bytes, keep any error.
+
+        Calls only :meth:`CheckpointStore.publish`, never a method that
+        span tracers wrap on the search thread (``save``/``load``/``clear``).
+        """
+        try:
+            self.store.publish(data)
+        except BaseException as error:
+            self._error = error
 
 
 # -- tracker state (de)serialization -------------------------------------------

@@ -175,9 +175,13 @@ class CoOptimizationFramework:
         every ``checkpoint_every`` generation boundaries under
         ``checkpoint_key`` (derived from model/platform/objective/label/
         budget/seed when omitted), resumes bit-identically from an existing
-        checkpoint, and clears it on successful completion.
-        ``interrupt_check`` is polled at generation boundaries; when it
-        turns truthy the search checkpoints and raises
+        checkpoint, and clears it on successful completion.  Checkpoints
+        are written behind the search: boundary N's file is published
+        (fsynced and renamed into place) while generation N computes, and
+        is durable before boundary N+1 begins and whenever ``search``
+        returns or raises.  ``interrupt_check`` is polled at generation
+        boundaries; when it turns truthy the search checkpoints, waits for
+        that checkpoint to be durable and raises
         :class:`~repro.framework.search.SearchInterrupted`.
         """
         tracker = SearchTracker(
@@ -206,14 +210,10 @@ class CoOptimizationFramework:
             # The optimizer kept asking after the budget ran out; that is the
             # expected way for budget-oblivious algorithms to terminate.
             pass
-        finally:
-            # SearchInterrupted (and any crash) leaves the checkpoint on
-            # disk for the resume; only a *completed* search clears it.
-            if session is not None and session in self.checkpoint_sessions:
-                self.checkpoint_sessions.remove(session)
-        if session is not None:
-            session.close()
-            session.store.clear()
+        except BaseException:
+            self._end_session(session, completed=False)
+            raise
+        self._end_session(session, completed=True)
         elapsed = time.perf_counter() - start
         return SearchResult(
             optimizer_name=optimizer.name,
@@ -276,12 +276,10 @@ class CoOptimizationFramework:
             optimizer.run(tracker, rng)
         except BudgetExhausted:
             pass
-        finally:
-            if session is not None and session in self.checkpoint_sessions:
-                self.checkpoint_sessions.remove(session)
-        if session is not None:
-            session.close()
-            session.store.clear()
+        except BaseException:
+            self._end_session(session, completed=False)
+            raise
+        self._end_session(session, completed=True)
         elapsed = time.perf_counter() - start
         return ParetoResult(
             optimizer_name=optimizer.name,
@@ -295,6 +293,28 @@ class CoOptimizationFramework:
         )
 
     # -- checkpoint plumbing -------------------------------------------------
+
+    def _end_session(
+        self, session: Optional[CheckpointSession], completed: bool
+    ) -> None:
+        """Detach a search's checkpoint session once its optimizer returns.
+
+        The last background write is awaited either way, so no writer
+        thread outlives the search.  A completed search then clears its
+        checkpoint (unless the session was closed by someone else — see
+        :meth:`CheckpointSession.complete`) and raises any write error.
+        SearchInterrupted and any crash only close the session: the
+        checkpoint stays on disk for the resume, and a write error never
+        masks the exception already propagating.
+        """
+        if session is None:
+            return
+        if session in self.checkpoint_sessions:
+            self.checkpoint_sessions.remove(session)
+        if completed:
+            session.complete()
+        else:
+            session.close()
 
     def _prepare_search(
         self,

@@ -204,10 +204,13 @@ class SearchTracker:
         ``state`` is a zero-argument callable returning the optimizer's
         JSON-able loop-state dict — a callable so normal, uncheckpointed
         runs never pay the serialization cost.  In boundary order: the
-        generation counter advances, generation-targeted fault specs fire
+        generation counter advances, the previous boundary's background
+        checkpoint write is awaited (so it is durable before anything of
+        this boundary happens), generation-targeted fault specs fire
         (chaos testing of exactly this machinery), a checkpoint is saved
         when the cadence — or a pending interrupt — calls for one, and a
-        pending interrupt then raises :class:`SearchInterrupted`.
+        pending interrupt then waits for that save to be published and
+        raises :class:`SearchInterrupted`.
 
         Because this runs *before* the boundary's breeding/evaluation, a
         restore that rewinds the counter by one re-enters the same
@@ -215,6 +218,9 @@ class SearchTracker:
         the uninterrupted run.
         """
         self.generation += 1
+        session = self.checkpoint_session
+        if session is not None:
+            session.wait()
         fault_plan = getattr(self.evaluator, "fault_plan", None)
         if fault_plan is not None:
             on_generation = getattr(fault_plan, "on_generation", None)
@@ -223,15 +229,15 @@ class SearchTracker:
         interrupted = self.interrupt_check is not None and bool(
             self.interrupt_check()
         )
-        session = self.checkpoint_session
         if session is not None and (
             interrupted or session.due(self.generation)
         ):
             session.save(self, state())
         if interrupted:
-            detail = (
-                " (checkpoint saved)" if session is not None else ""
-            )
+            detail = ""
+            if session is not None:
+                session.wait()
+                detail = " (checkpoint saved)"
             raise SearchInterrupted(
                 f"search interrupted at generation boundary "
                 f"{self.generation}{detail}"

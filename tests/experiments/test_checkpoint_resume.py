@@ -24,6 +24,7 @@ from repro.experiments.runner import (
     SweepRunner,
 )
 from repro.experiments.settings import ExperimentSettings
+from repro.framework.checkpoint import CheckpointStore
 
 #: Five DiGamma generation boundaries (population 20 at this budget).
 BUDGET = 120
@@ -203,8 +204,12 @@ class TestPreemptionCLI:
             env=env, cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
         )
         # os._exit(1) mid-search: a hard preemption, no cleanup, no record.
+        # Boundary 2's background write was awaited before boundary 3's
+        # fault fired, so it is on disk whole.
         assert killed.returncode == 1
-        assert list(ckpt.glob("*.ckpt.json"))
+        (job,) = digamma_jobs()
+        assert CheckpointStore(ckpt, job.job_id).load().generation == 2
+        assert list(ckpt.glob("*.tmp")) == []
 
         resumed = subprocess.run(
             base + ["--resume"],
@@ -212,6 +217,7 @@ class TestPreemptionCLI:
         )
         assert resumed.returncode == 0, resumed.stderr
         assert list(ckpt.glob("*.ckpt.json")) == []
+        assert list(ckpt.glob("*.tmp")) == []
 
         control_store = tmp_path / "control.jsonl"
         control = subprocess.run(

@@ -6,6 +6,9 @@ import json
 import os
 import sys
 import threading
+import time
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +24,7 @@ from repro.framework.checkpoint import (
     checkpoint_slug,
     restore_rng_state,
     rng_state_to_jsonable,
+    snapshot_tracker_state,
 )
 from repro.framework.cooptimizer import CoOptimizationFramework
 from repro.framework.search import SearchInterrupted
@@ -66,6 +70,14 @@ def make_checkpoint(generation: int = 3) -> SearchCheckpoint:
             "history": [[1, 5.0], [17, 4.0]],
             "best": None,
         },
+    )
+
+
+def stub_tracker(generation: int = 1) -> SimpleNamespace:
+    """The tracker bookkeeping a session snapshots, with nothing priced."""
+    return SimpleNamespace(
+        generation=generation, evaluations=0, batch_calls=0,
+        batched_evaluations=0, history=[], best=None, archive=None,
     )
 
 
@@ -165,6 +177,26 @@ class TestCheckpointStore:
         assert loaded is not None and 1 <= loaded.generation <= 8
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_file_removed_mid_load_is_no_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        # A completed search's clear() lands between the store noticing the
+        # file and reading it: that is a missing checkpoint, not a corrupt
+        # one — no warning, nothing quarantined.
+        store = CheckpointStore(tmp_path, "key")
+        store.save(make_checkpoint())
+        real_read_bytes = Path.read_bytes
+
+        def read_bytes(path):
+            store.clear()
+            return real_read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.load() is None
+        assert not store.corrupt_path.exists()
+
     @pytest.mark.parametrize(
         "damage",
         [
@@ -237,13 +269,57 @@ class TestCheckpointSession:
         store = CheckpointStore(tmp_path, "key")
         session = CheckpointSession(store, np.random.default_rng(0))
         session.close()
-        tracker = SimpleNamespace(
-            generation=1, evaluations=0, batch_calls=0, batched_evaluations=0,
-            history=[], best=None, archive=None,
-        )
-        session.save(tracker, {"kind": "random"})
+        session.save(stub_tracker(), {"kind": "random"})
         assert session.saves == 0
         assert not store.path.exists()
+
+    def test_close_waits_for_the_in_flight_write(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path, "key")
+        session = CheckpointSession(store, np.random.default_rng(0))
+        real_fsync = os.fsync
+
+        def slow_fsync(descriptor):
+            time.sleep(0.2)
+            return real_fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", slow_fsync)
+        session.save(stub_tracker(), {"kind": "random"})
+        session.close()
+        # The write was published before close() returned; nothing of the
+        # session lands afterwards.
+        assert store.load().generation == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+        session.save(stub_tracker(generation=2), {"kind": "random"})
+        assert session.saves == 1
+        assert store.load().generation == 1
+
+
+    def test_close_racing_saves_lands_nothing_afterwards(self, tmp_path):
+        # A closer thread (the sweep runner) races a search thread saving
+        # every boundary: whatever is on disk when close() returns stays.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(20):
+                store = CheckpointStore(tmp_path, f"key-{attempt}")
+                session = CheckpointSession(store, np.random.default_rng(0))
+
+                def saver():
+                    for generation in range(1, 200):
+                        session.save(stub_tracker(generation), {"kind": "random"})
+                    session.wait()
+
+                thread = threading.Thread(target=saver)
+                thread.start()
+                time.sleep(0.001 * (attempt % 5))
+                session.close()
+                published = store.load()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+                assert store.load() == published
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestResumeStateGuards:
@@ -431,3 +507,174 @@ class TestParetoResume:
         assert len(rows) > 1
         for row in rows:
             assert all(type(gene) is int for gene in row)
+
+
+def slow_fsync(monkeypatch, delay: float = 0.01) -> None:
+    """Make every fsync slow enough that a write spans search compute."""
+    real_fsync = os.fsync
+
+    def fsync(descriptor):
+        time.sleep(delay)
+        return real_fsync(descriptor)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+
+
+class TestWriteBehind:
+    """Checkpoint writes are published off the search thread, in order."""
+
+    def search(self, tiny_model, checkpoint_dir, *, interrupt_check=None,
+               framework=None):
+        owned = framework is None
+        if owned:
+            framework = CoOptimizationFramework(tiny_model, EDGE)
+        try:
+            return framework.search(
+                get_optimizer("digamma"),
+                sampling_budget=BUDGET,
+                seed=3,
+                interrupt_check=interrupt_check,
+                checkpoint_dir=str(checkpoint_dir),
+                checkpoint_key="job",
+            )
+        finally:
+            if owned:
+                framework.close()
+
+    def test_write_overlaps_the_next_generation(
+        self, tmp_path, tiny_model, monkeypatch
+    ):
+        saved = []
+        overlapped = []
+        real_save = CheckpointSession.save
+        real_fsync = os.fsync
+
+        def save(session, tracker, optimizer_state):
+            saved.append((tracker, tracker.generation))
+            real_save(session, tracker, optimizer_state)
+
+        def fsync(descriptor):
+            # Hold the first write until the search has moved past the
+            # boundary being written; a synchronous save never gets there.
+            if not overlapped:
+                tracker, boundary = saved[0]
+                deadline = time.monotonic() + 5.0
+                while (
+                    tracker.generation <= boundary
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                overlapped.append(tracker.generation > boundary)
+            return real_fsync(descriptor)
+
+        monkeypatch.setattr(CheckpointSession, "save", save)
+        monkeypatch.setattr(os, "fsync", fsync)
+        self.search(tiny_model, tmp_path)
+        assert overlapped == [True]
+
+    def test_completed_search_leaves_nothing_behind(
+        self, tmp_path, tiny_model, monkeypatch
+    ):
+        slow_fsync(monkeypatch)
+        control = run_search(tiny_model, "digamma")
+        result = self.search(tiny_model, tmp_path)
+        assert result.history == control.history
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_boundary_is_durable_when_interrupt_raises(
+        self, tmp_path, tiny_model, monkeypatch
+    ):
+        slow_fsync(monkeypatch)
+        with pytest.raises(SearchInterrupted):
+            self.search(
+                tiny_model, tmp_path, interrupt_check=InterruptAfter(2)
+            )
+        assert CheckpointStore(tmp_path, "job").load().generation == 3
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_write_error_surfaces_from_search(
+        self, tmp_path, tiny_model, monkeypatch
+    ):
+        def failing_fsync(descriptor):
+            raise OSError(5, "simulated I/O error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="simulated I/O error"):
+            self.search(tiny_model, tmp_path)
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_published_bytes_match_synchronous_saves(
+        self, tmp_path, tiny_model, monkeypatch
+    ):
+        runs = []
+        real_publish = CheckpointStore.publish
+
+        def publish(store, data):
+            real_publish(store, data)
+            runs[-1].append(store.path.read_bytes())
+
+        def synchronous_save(session, tracker, optimizer_state):
+            session.store.save(
+                SearchCheckpoint(
+                    generation=tracker.generation,
+                    rng_state=rng_state_to_jsonable(session.rng),
+                    optimizer_state=dict(optimizer_state),
+                    tracker_state=snapshot_tracker_state(tracker),
+                )
+            )
+
+        monkeypatch.setattr(CheckpointStore, "publish", publish)
+        runs.append([])
+        self.search(tiny_model, tmp_path / "behind")
+        monkeypatch.setattr(CheckpointSession, "save", synchronous_save)
+        runs.append([])
+        self.search(tiny_model, tmp_path / "synchronous")
+        published, synchronous = runs
+        assert len(published) >= 3
+        assert published == synchronous
+
+    def test_no_writer_thread_outlives_its_search(
+        self, tmp_path, tiny_model, monkeypatch
+    ):
+        slow_fsync(monkeypatch)
+        before = threading.active_count()
+        self.search(tiny_model, tmp_path / "completed")
+        assert threading.active_count() == before
+        with pytest.raises(SearchInterrupted):
+            self.search(
+                tiny_model, tmp_path / "interrupted",
+                interrupt_check=InterruptAfter(2),
+            )
+        assert threading.active_count() == before
+
+        def failing_fsync(descriptor):
+            raise OSError(5, "simulated I/O error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            self.search(tiny_model, tmp_path / "crashed")
+        assert threading.active_count() == before
+
+    def test_externally_closed_session_never_clears(self, tmp_path, tiny_model):
+        # The sweep runner closes a timed-out attempt's sessions while the
+        # abandoned search keeps running; when that search completes it
+        # must not delete the checkpoint its retry resumes from.
+        framework = CoOptimizationFramework(tiny_model, EDGE)
+        calls = []
+
+        def close_at_boundary_3():
+            calls.append(None)
+            if len(calls) == 3:
+                for session in list(framework.checkpoint_sessions):
+                    session.close()
+            return False
+
+        try:
+            result = self.search(
+                tiny_model, tmp_path,
+                interrupt_check=close_at_boundary_3, framework=framework,
+            )
+        finally:
+            framework.close()
+        assert result.evaluations == BUDGET
+        assert CheckpointStore(tmp_path, "job").load().generation == 2

@@ -164,3 +164,23 @@ class TestParser:
         assert args.model == ["resnet18"]
         assert args.platform == "edge"
         assert args.budget == 2000
+
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["search", "--model", "ncf", "--budget", "20"],
+            ["search", "--model", "ncf", "--budget", "20",
+             "--checkpoint-dir", "{tmp}"],
+            ["experiments", "--smoke", "--quiet"],
+        ],
+        ids=["search", "search-checkpoint-dir", "experiments"],
+    )
+    def test_checkpoint_every_below_one_is_a_usage_error(
+        self, capsys, tmp_path, command, every
+    ):
+        argv = [arg.format(tmp=tmp_path) for arg in command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--checkpoint-every", every])
+        assert excinfo.value.code == 2
+        assert "--checkpoint-every: must be >= 1" in capsys.readouterr().err

@@ -26,10 +26,16 @@ import platform as platform_module
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.arch.platform import get_platform
 from repro.cost.maestro import CostModel
 from repro.framework.cooptimizer import CoOptimizationFramework
+from repro.framework.objective import Objective
+from repro.framework.pareto import ParetoArchive
+from repro.framework.search import BudgetExhausted, SearchTracker
 from repro.mapping.dataflows import dla_like
+from repro.optim.nsga2 import NSGA2
 from repro.optim.registry import get_optimizer
 from repro.workloads.layer import Layer
 from repro.workloads.registry import get_model
@@ -434,6 +440,43 @@ def check_regression(
     return 0 if passed else 1
 
 
+def _pareto_signature(model, budget: int, **kwargs) -> tuple:
+    """Front values and history of a 3-level NSGA-II latency/energy/area run.
+
+    The tracker is built as :meth:`CoOptimizationFramework.pareto_search`
+    builds it, so the run also exposes its best-so-far history.
+    """
+    framework = CoOptimizationFramework(
+        model,
+        get_platform("edge"),
+        num_levels=3,
+        objectives="latency,energy,area",
+        **kwargs,
+    )
+    tracker = SearchTracker(
+        framework.evaluator, framework.space, budget, archive=ParetoArchive()
+    )
+    try:
+        NSGA2().run(tracker, np.random.default_rng(0))
+    except BudgetExhausted:
+        pass
+    return tracker.archive.front_values(), tracker.history
+
+
+def _lap_signature(model, budget: int, **kwargs) -> tuple:
+    """Best fitness and history of a DiGamma latency-area-product search."""
+    framework = CoOptimizationFramework(
+        model,
+        get_platform("edge"),
+        objective=Objective.LATENCY_AREA_PRODUCT,
+        **kwargs,
+    )
+    result = framework.search(
+        get_optimizer("digamma"), sampling_budget=budget, seed=0
+    )
+    return result.best.fitness, result.history
+
+
 def check_smoke(budget: int = 400) -> int:
     """CI smoke: vector vs fast parity on small populations + micro-bench.
 
@@ -445,8 +488,12 @@ def check_smoke(budget: int = 400) -> int:
     logs track the speed plumbing.  The vector engine also runs with
     ``use_cache=False`` and must match its cached run bit for bit, and the
     cached vector run must make zero design- and layer-cache requests (the
-    gene-matrix path uses no LRU).  Exits non-zero if any run disagrees,
-    the vector path touched a cache, or it failed to vectorize anything.
+    gene-matrix path uses no LRU).  Two more runs cover the array scoring
+    of the other objectives: a 3-level NSGA-II latency/energy/area Pareto
+    search (front values and history) and a DiGamma latency-area-product
+    search (best fitness and history) must be bit-identical on the vector
+    and the fast engine.  Exits non-zero if any run disagrees, the vector
+    path touched a cache, or it failed to vectorize anything.
     """
     model = get_model("resnet18")
     runs = (
@@ -495,6 +542,19 @@ def check_smoke(budget: int = 400) -> int:
             if outcomes["vector"].history != outcomes[name].history:
                 print(f"FAIL: {optimizer}: vector and {name} followed different trajectories")
                 return 1
+    for name, signature in (
+        ("nsga2-pareto-3level", _pareto_signature),
+        ("digamma-lap", _lap_signature),
+    ):
+        vector = signature(model, budget)
+        fast = signature(model, budget, engine="fast")
+        print(
+            f"{name:>19s}: {len(vector[1])} improvements, "
+            f"vector == fast: {vector == fast}"
+        )
+        if vector != fast:
+            print(f"FAIL: {name}: vector and fast engines disagree")
+            return 1
     print(
         "OK: gene-matrix path is cache-free and bit-identical to its "
         "uncached run and to the scalar fast engine"

@@ -59,7 +59,7 @@ class CostBackend(Protocol):
         design_matrix,
         noc_bandwidth,
         dram_bandwidth,
-    ) -> List[ModelPerformance]:
+    ) -> Sequence[ModelPerformance]:
         """Price packed gene-matrix rows (may reject unsupported layouts)."""
 
     @property

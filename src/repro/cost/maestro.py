@@ -19,17 +19,22 @@ Two implementations of the per-layer analysis coexist:
   and as the baseline for the throughput benchmarks.
 
 Whole populations have one pricing path, :meth:`CostModel.evaluate_model_matrix`:
-packed gene rows, deduplicated by row bytes within the call and priced by
-the vector engine (:mod:`repro.cost.vector_engine`); it keeps no cache
-across calls.  :meth:`CostModel.evaluate_model_batch` is a thin adapter
-that flattens a list of mappings onto it.  Single designs go through one
-tiered loop — layer LRU, then the persistent on-disk tier
-(:mod:`repro.cost.persist`), then the per-layer pricing function — that
-every cost backend shares.
+packed gene rows expanded into (design, layer) work rows, deduplicated with
+one ``np.unique`` over the rows' bytes within the call and priced by the
+vector engine (:mod:`repro.cost.vector_engine`); it keeps no cache across
+calls.  The engine's report columns stay arrays: per-design latency, energy
+and buffer requirements are column sums and maxima
+(:class:`PerformanceBatch`), and a design's :class:`LazyModelPerformance`
+is only built when someone indexes the batch.
+:meth:`CostModel.evaluate_model_batch` is a thin adapter that flattens a
+list of mappings onto it.  Single designs go through one tiered loop —
+layer LRU, then the persistent on-disk tier (:mod:`repro.cost.persist`),
+then the per-layer pricing function — that every cost backend shares.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -38,7 +43,6 @@ from typing import (
     Iterable,
     List,
     Mapping as TMapping,
-    Sequence,
     Tuple,
     Union,
 )
@@ -59,7 +63,12 @@ from repro.cost.persist import (
     cache_namespace,
     tuple_key_digest,
 )
-from repro.cost.vector_engine import GENES_PER_LEVEL, VectorEngine
+from repro.cost.vector_engine import (
+    GENES_PER_LEVEL,
+    VectorEngine,
+    columns_to_values,
+    values_to_columns,
+)
 from repro.cost.performance import LayerPerformance, ModelPerformance
 from repro.cost.reuse import (
     LevelAnalysis,
@@ -94,11 +103,12 @@ class LazyModelPerformance(ModelPerformance):
     The batch path scores thousands of designs per generation, but almost
     none of them are ever inspected layer by layer — only the handful that
     win a search get serialized or summarised.  This subclass stores the
-    raw per-layer value tuples plus the four aggregates the fitness path
-    reads (latency, energy, buffer requirements, computed in the exact
-    accumulation order of the eager properties) and builds the
-    :class:`LayerPerformance` tuple lazily.  Every other inherited property
-    goes through ``self.layers`` and therefore works unchanged.
+    design's rows of the vector engine's float and integer report columns
+    plus the four aggregates the fitness path reads (latency, energy,
+    buffer requirements, computed in the exact accumulation order of the
+    eager properties) and stitches the :class:`LayerPerformance` tuple on
+    first access.  Every other inherited property goes through
+    ``self.layers`` and therefore works unchanged.
     """
 
     @staticmethod
@@ -106,7 +116,8 @@ class LazyModelPerformance(ModelPerformance):
         model_name: str,
         names: tuple,
         counts: tuple,
-        entries: tuple,
+        floats: np.ndarray,
+        ints: np.ndarray,
         latency: float,
         energy: float,
         l1_requirement_bytes: int,
@@ -117,7 +128,8 @@ class LazyModelPerformance(ModelPerformance):
             model_name=model_name,
             _names=names,
             _counts=counts,
-            _entries=entries,
+            _floats=floats,
+            _ints=ints,
             _latency=latency,
             _energy=energy,
             _l1_requirement=l1_requirement_bytes,
@@ -132,7 +144,9 @@ class LazyModelPerformance(ModelPerformance):
             cached = tuple(
                 make_report(name, *entry, count)
                 for name, entry, count in zip(
-                    self._names, self._entries, self._counts
+                    self._names,
+                    columns_to_values(self._floats, self._ints),
+                    self._counts,
                 )
             )
             self.__dict__["_layers"] = cached
@@ -153,6 +167,71 @@ class LazyModelPerformance(ModelPerformance):
     @property
     def l2_requirement_bytes(self) -> int:
         return self._l2_requirement
+
+
+class PerformanceBatch(Sequence):
+    """One model priced under many designs, kept as report columns.
+
+    ``floats`` / ``ints`` are the vector engine's report columns over the
+    call's distinct work rows, and ``rows[d, l]`` is the work row of design
+    ``d``'s ``l``-th unique layer.  The per-design aggregates the scoring
+    path reads are arrays: :attr:`latency` and :attr:`energy` accumulate
+    ``value * count`` layer by layer from 0.0 (the order of the eager
+    :class:`ModelPerformance` sums, so the bits are identical), and
+    :attr:`l1_requirement_bytes` / :attr:`l2_requirement_bytes` are row
+    maxima.  ``batch[d]`` builds design ``d``'s
+    :class:`LazyModelPerformance`, so the batch reads like the list of
+    reports it replaces.
+    """
+
+    def __init__(
+        self,
+        model_name: str,
+        names: tuple,
+        counts: tuple,
+        floats: np.ndarray,
+        ints: np.ndarray,
+        rows: np.ndarray,
+    ):
+        self.model_name = model_name
+        self.names = names
+        self.counts = counts
+        self.floats = floats
+        self.ints = ints
+        self.rows = rows
+        latency = np.zeros(len(rows))
+        energy = np.zeros(len(rows))
+        layer_latency = floats[:, 0][rows]
+        layer_energy = floats[:, 7][rows]
+        for layer, count in enumerate(counts):
+            latency = latency + layer_latency[:, layer] * count
+            energy = energy + layer_energy[:, layer] * count
+        self.latency = latency
+        self.energy = energy
+        self.l1_requirement_bytes = ints[:, 3][rows].max(axis=1)
+        self.l2_requirement_bytes = ints[:, 4][rows].max(axis=1)
+        self._scalars = list(
+            zip(
+                latency.tolist(),
+                energy.tolist(),
+                self.l1_requirement_bytes.tolist(),
+                self.l2_requirement_bytes.tolist(),
+            )
+        )
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int) -> LazyModelPerformance:
+        rows = self.rows[index]
+        return LazyModelPerformance.build(
+            self.model_name,
+            self.names,
+            self.counts,
+            self.floats[rows],
+            self.ints[rows],
+            *self._scalars[index],
+        )
 
 
 def _model_dims_matrix(model: Model) -> np.ndarray:
@@ -575,8 +654,10 @@ class CostModel:
             except OverflowError:
                 pass  # beyond int64: the row path's scalar fallback is exact
             else:
-                return self.evaluate_model_matrix(
-                    model, matrix, noc_bandwidth, dram_bandwidth
+                return list(
+                    self.evaluate_model_matrix(
+                        model, matrix, noc_bandwidth, dram_bandwidth
+                    )
                 )
         pairs = model_statics(model)
         engine = self.vector_engine()
@@ -587,19 +668,19 @@ class CostModel:
                 (statics, layer_mapping_key(statics, mapping))
                 for _, statics in pairs
             )
-        values = engine.evaluate_rows(rows, noc_bandwidth, dram_bandwidth)
-        num_layers = len(pairs)
-        layer_names = tuple(layer.name for layer, _ in pairs)
-        layer_counts = tuple(layer.count for layer, _ in pairs)
-        return [
-            _assemble_performance(
+        floats, ints = values_to_columns(
+            engine.evaluate_rows(rows, noc_bandwidth, dram_bandwidth)
+        )
+        return list(
+            PerformanceBatch(
                 model.name,
-                layer_names,
-                layer_counts,
-                tuple(values[base : base + num_layers]),
+                tuple(layer.name for layer, _ in pairs),
+                tuple(layer.count for layer, _ in pairs),
+                floats,
+                ints,
+                np.arange(len(floats)).reshape(len(keys), len(pairs)),
             )
-            for base in range(0, len(values), num_layers)
-        ]
+        )
 
     def __getstate__(self) -> dict:
         # Worker processes re-derive engine state lazily.
@@ -615,7 +696,7 @@ class CostModel:
         design_matrix: np.ndarray,
         noc_bandwidth: float,
         dram_bandwidth: float,
-    ) -> List[ModelPerformance]:
+    ) -> PerformanceBatch:
         """Evaluate one model under many *repaired gene rows* in one pass.
 
         ``design_matrix`` is a ``(designs, 14 * num_levels)`` int64
@@ -624,11 +705,13 @@ class CostModel:
         tiles >= 1, orders are permutations).  The per-(design, layer) work
         rows are assembled with array gathers — vectorized tile clipping
         against the model's dimension matrix, no per-member tuple
-        construction — and deduplicated by raw row bytes within the call;
-        no cache is read or written.  Results are bit-identical to
-        :meth:`evaluate_model` on each row's mapping; this is the one
-        population pricing path (:meth:`evaluate_model_batch` adapts
-        mapping lists onto it).
+        construction — and deduplicated with one ``np.unique`` over their
+        raw bytes within the call; no cache is read or written.  The
+        returned :class:`PerformanceBatch` holds per-design aggregate
+        arrays and builds each design's report on indexing; reports are
+        bit-identical to :meth:`evaluate_model` on each row's mapping.
+        This is the one population pricing path
+        (:meth:`evaluate_model_batch` adapts mapping lists onto it).
         """
         if self.engine == "reference":
             raise ValueError(
@@ -641,8 +724,6 @@ class CostModel:
         dims_matrix = _model_dims_matrix(model)
         engine = self.vector_engine()
         layer_slots = [engine.statics_slot(statics) for _, statics in pairs]
-        layer_names = tuple(layer.name for layer, _ in pairs)
-        layer_counts = tuple(layer.count for layer, _ in pairs)
         num_layers = len(pairs)
         num_designs = len(design_matrix)
 
@@ -670,43 +751,30 @@ class CostModel:
         # apart, so equal bytes mean equal reports.  Composite tuple keys
         # are never built on this path (the engine's scalar fallback builds
         # them on demand).
-        raw = work.tobytes()
-        step = width * 8
-        entries: List[int] = [0] * (num_designs * num_layers)
-        pending: Dict[bytes, int] = {}
-        pending_positions: List[int] = []
-        for index in range(num_designs * num_layers):
-            fingerprint = raw[index * step : index * step + step]
-            entry = pending.get(fingerprint)
-            if entry is None:
-                entry = pending[fingerprint] = len(pending_positions)
-                pending_positions.append(index)
-            entries[index] = entry
-
-        unique = work[np.array(pending_positions, dtype=np.int64)]
+        _, first, inverse = np.unique(
+            work.view(np.dtype((np.void, width * 8))).ravel(),
+            return_index=True,
+            return_inverse=True,
+        )
+        unique = work[first]
         statics_of_slot = {
             slot: statics for slot, (_, statics) in zip(layer_slots, pairs)
         }
-        values = engine.evaluate_packed(
+        floats, ints = engine.evaluate_packed(
             _WorkRowView(unique, statics_of_slot),
             unique[:, 1:],
             unique[:, 0],
             noc_bandwidth,
             dram_bandwidth,
         )
-
-        performances: List[ModelPerformance] = []
-        for design_index in range(num_designs):
-            base = design_index * num_layers
-            resolved = tuple(
-                values[entry] for entry in entries[base : base + num_layers]
-            )
-            performances.append(
-                _assemble_performance(
-                    model.name, layer_names, layer_counts, resolved
-                )
-            )
-        return performances
+        return PerformanceBatch(
+            model.name,
+            tuple(layer.name for layer, _ in pairs),
+            tuple(layer.count for layer, _ in pairs),
+            floats,
+            ints,
+            inverse.reshape(num_designs, num_layers),
+        )
 
     # -- internals ---------------------------------------------------------
 
@@ -780,41 +848,6 @@ class CostModel:
                 (inner_footprint["W"] + inner_footprint["I"]) * bpe / noc_bandwidth
             )
         return fill_l2 + fill_l1
-
-
-def _assemble_performance(
-    model_name: str,
-    layer_names: tuple,
-    layer_counts: tuple,
-    resolved: tuple,
-) -> "LazyModelPerformance":
-    """Fold per-layer value tuples into a lazy model report.
-
-    Aggregates accumulate in the exact order of the eager properties (sum
-    over layers of latency * count etc.), so the lazy reports are
-    indistinguishable from eagerly built ones.
-    """
-    latency = 0.0
-    energy = 0.0
-    l1_requirement = 0
-    l2_requirement = 0
-    for entry, count in zip(resolved, layer_counts):
-        latency += entry[0] * count
-        energy += entry[8] * count
-        if entry[11] > l1_requirement:
-            l1_requirement = entry[11]
-        if entry[12] > l2_requirement:
-            l2_requirement = entry[12]
-    return LazyModelPerformance.build(
-        model_name,
-        layer_names,
-        layer_counts,
-        resolved,
-        latency,
-        energy,
-        l1_requirement,
-        l2_requirement,
-    )
 
 
 class _WorkRowView:

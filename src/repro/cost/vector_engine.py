@@ -1,9 +1,10 @@
 """Population-axis vectorized layer evaluation (NumPy structure-of-arrays).
 
 The scalar fast engine (:mod:`repro.cost.engine`) evaluates one
-(layer, mapping) pair per call; a GA generation asks for hundreds of them.
-This module evaluates a whole batch of such pairs — one *row* per
-(population member, unique layer) cache miss — in a single NumPy pass:
+(layer, mapping) pair per call; a GA generation asks for thousands of them.
+This module evaluates a whole batch of such pairs — one *row* per distinct
+(population member, unique layer) work row of the call — in a single NumPy
+pass:
 
 * a packer flattens each row's layer mapping key (spatial sizes, parallel
   dims, loop orders, clipped tiles) into one ``int64`` matrix — one
@@ -13,6 +14,12 @@ This module evaluates a whole batch of such pairs — one *row* per
   (:func:`repro.cost.engine._evaluate_two_level` and its depth-general
   sibling ``_evaluate_general``) is re-expressed as level-stacked
   elementwise array operations **in the same operation order**.
+
+The gene-matrix path (:meth:`VectorEngine.evaluate_packed`) hands back the
+report fields as float and integer columns, which the cost model aggregates
+without building per-row tuples; :meth:`VectorEngine.evaluate_rows` stitches
+the columns into :func:`~repro.cost.engine.report_values` tuples for the
+callers that read them row by row.
 
 Hierarchy depth is a parameter, not an assumption: 1-level, 2-level and
 3+-level rows all ride the array pipeline (mixed-depth batches are grouped
@@ -52,6 +59,13 @@ Row = Tuple[LayerStatics, LayerMappingKey]
 #: Columns per hierarchy level in the packed gene matrix: spatial size,
 #: parallel dim index, six order positions, six tile sizes.
 GENES_PER_LEVEL = 14
+
+#: Positions of the float columns (latency, compute, noc, dram, l2_to_l1,
+#: dram_bytes, l1_access, energy) and of the integer columns (macs,
+#: active_pes, num_pes, l1_requirement, l2_requirement) of
+#: :meth:`VectorEngine.evaluate_packed` within a report_values tuple.
+FLOAT_FIELDS = (0, 1, 2, 3, 5, 6, 7, 8)
+INT_FIELDS = (4, 9, 10, 11, 12)
 
 #: Integer-chain intermediates must stay below 2**53 for float64 products to
 #: be exact.  The guard subtracts a relative margin much larger than the
@@ -174,16 +188,15 @@ class VectorEngine:
         order, so they drop straight into the layer-report cache and are
         reconstituted per layer with ``make_report``.  Handles any
         hierarchy depth: mixed-depth batches are grouped by depth and each
-        group rides the array pipeline.  The gene-matrix path uses
-        :meth:`evaluate_packed` instead, which skips the per-row flattening
-        done here; this entry serves the batches it cannot pack (mixed
-        depths, genes beyond int64).
+        group rides :meth:`evaluate_packed`.  The gene-matrix path calls
+        :meth:`evaluate_packed` directly, skipping the per-row flattening
+        and tuple stitching done here; this entry serves the batches it
+        cannot pack (mixed depths, genes beyond int64).
         """
         count = len(rows)
         values: List[Optional[tuple]] = [None] * count
         # depth -> (positions, flattened gene rows, statics slots)
         groups: dict = {}
-        statics_rows = self._statics_rows
         for position, (statics, key) in enumerate(rows):
             if len(key) == 0:
                 values[position] = self._scalar_values(
@@ -191,12 +204,6 @@ class VectorEngine:
                 )
                 continue
             slot = self._statics_slot(statics)
-            if not statics_rows[slot][8]:
-                values[position] = self._scalar_values(
-                    statics, key, noc_bandwidth, dram_bandwidth,
-                    "statics_overflow",
-                )
-                continue
             flat_row: tuple = ()
             for static, tile in key:
                 flat_row += static[:2] + static[2] + tile
@@ -206,14 +213,6 @@ class VectorEngine:
             group[2].append(slot)
 
         for positions, flat, group_slots in groups.values():
-            if len(positions) < MIN_VECTOR_ROWS:
-                for position in positions:
-                    statics, key = rows[position]
-                    values[position] = self._scalar_values(
-                        statics, key, noc_bandwidth, dram_bandwidth,
-                        "small_batch",
-                    )
-                continue
             try:
                 matrix = np.array(flat, dtype=np.int64)
             except OverflowError:
@@ -226,16 +225,15 @@ class VectorEngine:
                         "gene_overflow",
                     )
                 continue
-            tuples = self._finish_matrix(
-                rows,
-                positions,
+            floats, ints = self.evaluate_packed(
+                [rows[position] for position in positions],
                 matrix,
                 np.array(group_slots, dtype=np.int64),
                 noc_bandwidth,
                 dram_bandwidth,
             )
-            for index, position in enumerate(positions):
-                values[position] = tuples[index]
+            for position, value in zip(positions, columns_to_values(floats, ints)):
+                values[position] = value
         return values
 
     def evaluate_packed(
@@ -245,7 +243,7 @@ class VectorEngine:
         slots: np.ndarray,
         noc_bandwidth: float,
         dram_bandwidth: float,
-    ) -> List[tuple]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate uniform-depth rows whose genes are already packed.
 
         ``matrix`` is the ``(n, 14 * num_levels)`` int64 gene matrix
@@ -253,90 +251,70 @@ class VectorEngine:
         with array gathers — hierarchy depth is inferred from its width;
         ``slots`` are the rows' statics-table slots.  ``rows`` is consulted
         only when a row needs the scalar fallback.
+
+        Returns ``(floats, ints)``: the ``(n, 8)`` float64 and ``(n, 5)``
+        integer report columns (the :data:`FLOAT_FIELDS` and
+        :data:`INT_FIELDS` of a report_values tuple), with the
+        scalar-fallback rows patched in.  The integer columns switch to
+        ``object`` dtype (exact Python ints) when a scalar-priced value
+        leaves int64.
         """
         count = len(rows)
         statics_rows = self._statics_rows
-        keep: Optional[List[int]] = None
-        values: List[Optional[tuple]] = []
+        fallback: List[Tuple[int, str]] = []
+        keep: Optional[np.ndarray] = None
         if not all(row[8] for row in statics_rows):
             vectorizable = np.array(
                 [row[8] for row in statics_rows], dtype=bool
             )[slots]
             if not vectorizable.all():
-                values = [None] * count
-                keep = np.flatnonzero(vectorizable).tolist()
-                for position in np.flatnonzero(~vectorizable).tolist():
-                    statics, key = rows[position]
-                    values[position] = self._scalar_values(
-                        statics, key, noc_bandwidth, dram_bandwidth,
-                        "statics_overflow",
-                    )
-                matrix = matrix[keep]
-                slots = slots[keep]
-        remaining = len(keep) if keep is not None else count
+                keep = np.flatnonzero(vectorizable)
+                fallback = [
+                    (position, "statics_overflow")
+                    for position in np.flatnonzero(~vectorizable).tolist()
+                ]
+        remaining = count if keep is None else len(keep)
         if remaining < MIN_VECTOR_ROWS:
-            positions = keep if keep is not None else range(count)
-            out = values if keep is not None else [None] * count
-            for position in positions:
-                statics, key = rows[position]
-                out[position] = self._scalar_values(
-                    statics, key, noc_bandwidth, dram_bandwidth,
-                    "small_batch",
+            floats = np.zeros((count, len(FLOAT_FIELDS)))
+            ints = np.zeros((count, len(INT_FIELDS)), dtype=np.int64)
+            positions = range(count) if keep is None else keep.tolist()
+            fallback += [(position, "small_batch") for position in positions]
+        else:
+            if keep is None:
+                floats, ints, inexact = self._evaluate_matrix(
+                    matrix, slots, noc_bandwidth, dram_bandwidth
                 )
-            return out
-        tuples = self._finish_matrix(
-            rows, keep, matrix, slots, noc_bandwidth, dram_bandwidth
-        )
-        if keep is None:
-            return tuples
-        for index, position in enumerate(keep):
-            values[position] = tuples[index]
-        return values
+                flagged = np.flatnonzero(inexact)
+            else:
+                kept_floats, kept_ints, inexact = self._evaluate_matrix(
+                    matrix[keep], slots[keep], noc_bandwidth, dram_bandwidth
+                )
+                floats = np.zeros((count, len(FLOAT_FIELDS)))
+                ints = np.zeros((count, len(INT_FIELDS)), dtype=np.int64)
+                floats[keep] = kept_floats
+                ints[keep] = kept_ints
+                flagged = keep[np.flatnonzero(inexact)]
+            fallback += [
+                (position, "intermediate_overflow") for position in flagged.tolist()
+            ]
+            self.rows_vectorized += remaining - len(flagged)
+        for position, reason in fallback:
+            statics, key = rows[position]
+            values = self._scalar_values(
+                statics, key, noc_bandwidth, dram_bandwidth, reason
+            )
+            floats[position] = [values[index] for index in FLOAT_FIELDS]
+            exact = [values[index] for index in INT_FIELDS]
+            try:
+                ints[position] = exact
+            except OverflowError:
+                ints = ints.astype(object)
+                ints[position] = exact
+        return floats, ints
 
     def statics_slot(self, statics: LayerStatics) -> int:
         """Public view of the statics-table slot (for batch-path callers)."""
         return self._statics_slot(statics)
-
-    def _finish_matrix(
-        self,
-        rows: Sequence[Row],
-        positions: Optional[Sequence[int]],
-        matrix: np.ndarray,
-        slots: np.ndarray,
-        noc_bandwidth: float,
-        dram_bandwidth: float,
-    ) -> List[tuple]:
-        """Array evaluation + tuple stitching + inexact-row fallback.
-
-        Returns tuples parallel to ``matrix``; ``positions`` maps matrix
-        rows back into ``rows`` for the fallback (``None`` = identity).
-        """
-        float_columns, int_columns, inexact = self._evaluate_matrix(
-            matrix, slots, noc_bandwidth, dram_bandwidth
-        )
-        # One C-level pass per column, then zip stitches the value tuples in
-        # report_values order: latency, compute, noc, dram, macs, l2_to_l1,
-        # dram_bytes, l1_access, energy, active_pes, num_pes,
-        # l1_requirement, l2_requirement.
-        f = [float_columns[:, index].tolist() for index in range(8)]
-        g = [int_columns[:, index].tolist() for index in range(5)]
-        tuples = list(
-            zip(
-                f[0], f[1], f[2], f[3], g[0], f[4], f[5], f[6], f[7],
-                g[1], g[2], g[3], g[4],
-            )
-        )
-        flagged = 0
-        if inexact.any():
-            for index in np.flatnonzero(inexact).tolist():
-                row = rows[positions[index] if positions is not None else index]
-                tuples[index] = self._scalar_values(
-                    row[0], row[1], noc_bandwidth, dram_bandwidth,
-                    "intermediate_overflow",
-                )
-                flagged += 1
-        self.rows_vectorized += len(tuples) - flagged
-        return tuples
 
     # -- internals ---------------------------------------------------------
 
@@ -404,26 +382,28 @@ class VectorEngine:
         for level in range(num_levels):
             base = level * GENES_PER_LEVEL
             spatial.append(matrix[:, base])
-            par.append(matrix[:, base + 1:base + 2])
+            par.append(matrix[:, base + 1])
             order.append(matrix[:, base + 2:base + 8])
             tile.append(matrix[:, base + 8:base + 14])
+        # One row index per call: direct fancy indexing replaces the
+        # take/put_along_axis wrappers (same gathers, less overhead).
+        row = np.arange(len(matrix))
+        row_column = row[:, None]
 
         inexact = np.zeros(len(matrix), dtype=bool)
 
         # -- per-level reuse analysis (engine: base/active/folds/trips) ----
         def _analyze(parent, tile_l, par_l, spatial_l):
             base = -(-parent // tile_l)
-            chunks = np.take_along_axis(base, par_l, 1)[:, 0]
+            chunks = base[row, par_l]
             active = np.minimum(spatial_l, chunks)
             folds = -(-chunks // active)
             trips = base.copy()
-            np.put_along_axis(trips, par_l, folds[:, None], 1)
-            covered = np.take_along_axis(tile_l, par_l, 1)[:, 0] * active
-            parent_extent = np.take_along_axis(parent, par_l, 1)[:, 0]
+            trips[row, par_l] = folds
+            covered = tile_l[row, par_l] * active
+            parent_extent = parent[row, par_l]
             macro = tile_l.copy()
-            np.put_along_axis(
-                macro, par_l, np.minimum(parent_extent, covered)[:, None], 1
-            )
+            macro[row, par_l] = np.minimum(parent_extent, covered)
             return trips, macro, active
 
         trips = []
@@ -443,9 +423,7 @@ class VectorEngine:
         prefixes = []
         products = []
         for level in range(num_levels):
-            in_order = np.take_along_axis(
-                trips[level], order[level], 1
-            ).astype(np.float64)
+            in_order = trips[level][row_column, order[level]].astype(np.float64)
             prefix = np.cumprod(in_order, axis=1)
             product = prefix[:, 5]
             inexact |= product >= _EXACT_LIMIT
@@ -496,14 +474,12 @@ class VectorEngine:
         def _fetches(rel_in_order, trips_in_order, prefix):
             iterating = rel_in_order & (trips_in_order > 1.0)
             position = np.where(iterating, _ORDER_POSITIONS, -1).max(axis=1)
-            gathered = np.take_along_axis(
-                prefix, np.maximum(position, 0)[:, None], 1
-            )[:, 0]
+            gathered = prefix[row, np.maximum(position, 0)]
             return np.where(position >= 0, gathered, 1.0)
 
-        rel_w0 = np.take_along_axis(w_mask, order[0], 1)
-        rel_i0 = np.take_along_axis(i_mask, order[0], 1)
-        rel_o0 = np.take_along_axis(o_mask, order[0], 1)
+        rel_w0 = w_mask[row_column, order[0]]
+        rel_i0 = i_mask[row_column, order[0]]
+        rel_o0 = o_mask[row_column, order[0]]
 
         bpe = self._bpe_f
         bpe_exact = self._bpe_exact
@@ -532,14 +508,13 @@ class VectorEngine:
 
         # -- NoC traffic (engine: l2_to_l1_bytes accumulation) -------------
         actives_f = [active.astype(np.float64) for active in actives]
-        pars_flat = [par_l[:, 0] for par_l in par]
 
         def _distinct(mask, is_output, depth):
             distinct = None
             for level in range(depth):
-                at = np.take_along_axis(mask, par[level], 1)[:, 0]
+                at = mask[row, par[level]]
                 if is_output:
-                    at = at | _REDUCTION_MASK[pars_flat[level]]
+                    at = at | _REDUCTION_MASK[par[level]]
                 factor = np.where(at, actives_f[level], 1.0)
                 distinct = factor if distinct is None else distinct * factor
             return distinct
@@ -548,9 +523,9 @@ class VectorEngine:
         inner_w = inner_i = inner_o = None
         steps_above = products[0]
         for level_index in range(1, num_levels):
-            rel_w_l = np.take_along_axis(w_mask, order[level_index], 1)
-            rel_i_l = np.take_along_axis(i_mask, order[level_index], 1)
-            rel_o_l = np.take_along_axis(o_mask, order[level_index], 1)
+            rel_w_l = w_mask[row_column, order[level_index]]
+            rel_i_l = i_mask[row_column, order[level_index]]
+            rel_o_l = o_mask[row_column, order[level_index]]
             tile_w, tile_i, tile_o, flagged = _footprints(tile[level_index])
             inexact |= flagged
             for footprint, rel_l, mask, is_output in (
@@ -659,3 +634,34 @@ class VectorEngine:
             axis=1,
         )
         return float_columns, int_columns, inexact
+
+
+def columns_to_values(floats: np.ndarray, ints: np.ndarray) -> List[tuple]:
+    """Stitch :meth:`VectorEngine.evaluate_packed` columns into value tuples.
+
+    One C-level ``tolist`` per column block, then ``zip`` builds the tuples
+    in :func:`repro.cost.engine.report_values` field order.
+    """
+    f = floats.T.tolist()
+    g = ints.T.tolist()
+    return list(
+        zip(
+            f[0], f[1], f[2], f[3], g[0], f[4], f[5], f[6], f[7],
+            g[1], g[2], g[3], g[4],
+        )
+    )
+
+
+def values_to_columns(values: Sequence[tuple]) -> Tuple[np.ndarray, np.ndarray]:
+    """The inverse of :func:`columns_to_values` (exact: ints beyond int64
+    keep ``object`` dtype)."""
+    floats = np.array(
+        [[value[index] for index in FLOAT_FIELDS] for value in values],
+        dtype=np.float64,
+    ).reshape(-1, len(FLOAT_FIELDS))
+    exact = [[value[index] for index in INT_FIELDS] for value in values]
+    try:
+        ints = np.array(exact, dtype=np.int64)
+    except OverflowError:
+        ints = np.array(exact, dtype=object)
+    return floats, ints.reshape(-1, len(INT_FIELDS))

@@ -9,10 +9,11 @@ can be plugged into the Optimization Block unchanged.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from repro.arch.hardware import HardwareConfig
 from repro.arch.platform import Platform
 from repro.cost.backend import BACKENDS, create_backend
 from repro.cost.cache import CacheStats, LRUCache
-from repro.cost.maestro import DEFAULT_LAYER_CACHE_SIZE
+from repro.cost.maestro import DEFAULT_LAYER_CACHE_SIZE, PerformanceBatch
 from repro.cost.performance import ModelPerformance
 from repro.encoding.genome import Genome, GenomeSpace
 from repro.encoding.genome_matrix import (
@@ -33,7 +34,12 @@ from repro.encoding.genome_matrix import (
 )
 from repro.framework.constraints import ConstraintChecker
 from repro.framework.designpoint import AcceleratorDesign, LazyRowMappingDesign
-from repro.framework.objective import Objective, ObjectiveSet, objective_value
+from repro.framework.objective import (
+    Objective,
+    ObjectiveSet,
+    objective_column,
+    objective_value,
+)
 from repro.mapping.mapping import Mapping
 from repro.workloads.layer import Layer
 from repro.workloads.model import Model
@@ -57,12 +63,19 @@ ENGINES = ("vector", "fast", "reference")
 #: just thrashes the machine.
 DEFAULT_MAX_POOL_RESTARTS = 2
 
-#: Clock default the inlined matrix scoring pins hardware to — taken from
-#: the dataclass itself so a changed HardwareConfig default cannot silently
+#: Clock default the array scoring pins hardware to — taken from the
+#: dataclass itself so a changed HardwareConfig default cannot silently
 #: diverge the matrix path from :meth:`DesignEvaluator._score_performance`.
 _DEFAULT_FREQUENCY_MHZ = HardwareConfig.__dataclass_fields__[
     "frequency_mhz"
 ].default
+
+#: Array scoring hands a row to :meth:`DesignEvaluator._score_performance`
+#: when a float estimate of one of its integer products reaches this bound
+#: (int64 arithmetic could wrap), or ...
+_INT64_GUARD = float(2**62)
+#: ... when a buffer requirement it divides is not exact in float64.
+_FLOAT_EXACT = 2**53
 
 #: Evaluator installed in each worker process (see ``_init_worker``).
 _WORKER_EVALUATOR: Optional["DesignEvaluator"] = None
@@ -74,7 +87,7 @@ def _init_worker(evaluator: "DesignEvaluator") -> None:
     _WORKER_EVALUATOR = evaluator
 
 
-def _evaluate_matrix_in_worker(matrix: GenomeMatrix) -> List["EvaluationResult"]:
+def _evaluate_matrix_in_worker(matrix: GenomeMatrix) -> "ResultBatch":
     """Evaluate a gene-matrix chunk in a worker process (pool map target).
 
     Chaos hook first: an installed fault plan (pickled into the worker
@@ -173,6 +186,161 @@ def _with_row_genome(
     wrapped.__dict__.update(result.__dict__)
     wrapped.__dict__["_genome_row"] = fingerprint
     return wrapped
+
+
+def _first_max(first, second) -> np.ndarray:
+    """Elementwise ``max(first, second)`` with Python's tie and NaN rule."""
+    return np.where(second > first, second, first)
+
+
+class ResultBatch(Sequence):
+    """A priced population whose results are built when read.
+
+    :attr:`fitnesses` and :attr:`valid` are plain lists over the whole
+    batch: all a GA loop or the tracker's best-so-far scan reads.
+    ``batch[i]`` builds row ``i``'s :class:`EvaluationResult` on first
+    access and returns the same object afterwards, so a generation that
+    only needs its fitnesses never builds a result object.  Batches
+    pickle (pool workers return them) and concatenate (:meth:`join`).
+    """
+
+    def __init__(
+        self,
+        fitnesses: List[float],
+        valid: List[bool],
+        results: Optional[List[Optional[EvaluationResult]]] = None,
+        parts: Sequence[Tuple[int, "_ScoredRows"]] = (),
+    ):
+        self.fitnesses = fitnesses
+        self.valid = valid
+        self._results = [None] * len(fitnesses) if results is None else results
+        #: ``(offset, rows)``: positions from ``offset`` on that are still
+        #: unbuilt come from ``rows.build(position - offset)``.
+        self._parts = list(parts)
+
+    @classmethod
+    def of(cls, results: Sequence[EvaluationResult]) -> "ResultBatch":
+        """A batch of already-built results."""
+        results = list(results)
+        return cls(
+            [result.fitness for result in results],
+            [result.valid for result in results],
+            results,
+        )
+
+    @classmethod
+    def join(cls, batches: Sequence["ResultBatch"]) -> "ResultBatch":
+        """The batches' rows in order, as one batch."""
+        if len(batches) == 1:
+            return batches[0]
+        fitnesses: List[float] = []
+        valid: List[bool] = []
+        results: List[Optional[EvaluationResult]] = []
+        parts: List[Tuple[int, "_ScoredRows"]] = []
+        for batch in batches:
+            offset = len(fitnesses)
+            parts.extend((offset + start, rows) for start, rows in batch._parts)
+            fitnesses += batch.fitnesses
+            valid += batch.valid
+            results += batch._results
+        return cls(fitnesses, valid, results, parts)
+
+    def __len__(self) -> int:
+        return len(self.fitnesses)
+
+    def __getitem__(self, index: int) -> EvaluationResult:
+        result = self._results[index]
+        if result is None:
+            position = range(len(self))[index]
+            for start, rows in reversed(self._parts):
+                if position >= start:
+                    result = rows.build(position - start)
+                    break
+            self._results[position] = result
+        return result
+
+    def __iter__(self):
+        for position in range(len(self)):
+            yield self[position]
+
+
+@dataclass
+class _ScoredRows:
+    """The score columns of one vector-priced gene matrix.
+
+    Holds what :meth:`build` needs to turn row ``i`` into the
+    :class:`RowGenomeResult` that :meth:`DesignEvaluator._score_performance`
+    would have produced, field for field; rows the array scoring could not
+    price exactly arrive pre-scored in ``oracle``.  The per-row fields are
+    Python lists (one C-level ``tolist`` per column).  Under fixed
+    hardware ``buffers`` is None and ``areas`` is the shared
+    :class:`AreaBreakdown`; otherwise they hold per-row ``(l1_size,
+    l2_size)`` and ``(pe_area, l1_area, l2_area)`` tuples.
+    """
+
+    data: np.ndarray
+    performances: PerformanceBatch
+    fitnesses: List[float]
+    valid: List[bool]
+    values: List[float]
+    vectors: Optional[List[Tuple[float, ...]]]
+    buffers: Optional[List[Tuple[int, int]]]
+    areas: object
+    oracle: Dict[int, EvaluationResult]
+    objective: Objective
+    checker: ConstraintChecker
+    fixed_hardware: Optional[HardwareConfig]
+    platform: Platform
+    bytes_per_element: int
+
+    def build(self, position: int) -> EvaluationResult:
+        fingerprint = self.data[position].tobytes()
+        oracle = self.oracle.get(position)
+        if oracle is not None:
+            return _with_row_genome(oracle, fingerprint)
+        performance = self.performances[position]
+        if self.fixed_hardware is not None:
+            hardware = self.fixed_hardware
+            area = self.areas
+        else:
+            l1_size, l2_size = self.buffers[position]
+            hardware = object.__new__(HardwareConfig)
+            hardware.__dict__.update(
+                pe_array=tuple(self.data[position, ::LEVEL_WIDTH].tolist()),
+                l1_size=l1_size,
+                l2_size=l2_size,
+                noc_bandwidth=self.platform.noc_bandwidth,
+                dram_bandwidth=self.platform.dram_bandwidth,
+                bytes_per_element=self.bytes_per_element,
+                frequency_mhz=_DEFAULT_FREQUENCY_MHZ,
+            )
+            pe_area, l1_area, l2_area = self.areas[position]
+            area = object.__new__(AreaBreakdown)
+            area.__dict__.update(pe_area=pe_area, l1_area=l1_area, l2_area=l2_area)
+        valid = self.valid[position]
+        violations = ()
+        if not valid:
+            violations = self.checker.check(
+                hardware,
+                area,
+                l1_requirement_bytes=performance.l1_requirement_bytes,
+                l2_requirement_bytes=performance.l2_requirement_bytes,
+            ).violations
+        result = object.__new__(RowGenomeResult)
+        result.__dict__.update(
+            fitness=self.fitnesses[position],
+            valid=valid,
+            objective=self.objective,
+            objective_value=self.values[position],
+            design=LazyRowMappingDesign.build(
+                hardware, fingerprint, performance, area
+            ),
+            violations=violations,
+            genome=None,
+            objective_vector=None if self.vectors is None else self.vectors[position],
+            _genome_row=fingerprint,
+        )
+        return result
 
 
 class DesignEvaluator:
@@ -378,7 +546,7 @@ class DesignEvaluator:
         self,
         genomes: Sequence[Genome],
         workers: Optional[int] = None,
-    ) -> List[EvaluationResult]:
+    ) -> Sequence[EvaluationResult]:
         """Score a list of *repaired* genomes in one call, preserving order.
 
         The genome-list view of :meth:`evaluate_matrix`: the population is
@@ -397,7 +565,7 @@ class DesignEvaluator:
         self,
         matrix: GenomeMatrix,
         workers: Optional[int] = None,
-    ) -> List[EvaluationResult]:
+    ) -> ResultBatch:
         """Score a whole *repaired* gene-matrix population in one call.
 
         This is the population data path the matrix-native search loops
@@ -405,16 +573,17 @@ class DesignEvaluator:
         :meth:`~repro.framework.search.SearchTracker.evaluate_matrix` does
         this with one vectorized pass).  Results are bit-identical to
         ``[self.evaluate_genome(g) for g in matrix.to_genomes()]`` — but no
-        per-member ``Genome`` or ``Mapping`` object is ever constructed:
-        rows repeated within the call are priced once (deduplicated on
-        their raw bytes), the unique rows feed the cost model's packed
-        matrix entry directly, and genomes on the returned results
-        materialize lazily.  The vector path reads and writes no cache:
-        the design and layer LRUs serve per-design pricing only.
+        per-member ``Genome`` or ``Mapping`` object is ever constructed on
+        the vector path: the cost model prices each distinct (design,
+        layer) work row once, scoring runs on its aggregate columns, and
+        the returned :class:`ResultBatch` carries the fitnesses as a list
+        and builds a result (with a lazily materialized genome and
+        mapping) only when one is read.  The vector path reads and writes
+        no cache: the design and layer LRUs serve per-design pricing only.
         """
         count = len(matrix)
         if count == 0:
-            return []
+            return ResultBatch([], [])
         width = self.workers if workers is None else workers
         if (
             width is not None
@@ -427,20 +596,19 @@ class DesignEvaluator:
                 GenomeMatrix(matrix.data[start : start + chunk], matrix.num_levels)
                 for start in range(0, count, chunk)
             ]
-            batches = self._map_chunks(chunks, width)
-            return [result for batch in batches for result in batch]
+            return ResultBatch.join(self._map_chunks(chunks, width))
         if self.engine != "vector" or self.backend != "analytic":
             # The scalar engines (and non-analytic backends) price member by
             # member; under the analytic backend values are bit-identical,
             # so matrix-native search loops stay exact under every engine
             # selector.  Hierarchy depth is no gate: the vector path prices
             # 1-, 2- and 3+-level matrices natively.
-            return [self.evaluate_genome(genome) for genome in matrix.to_genomes()]
+            return ResultBatch.of(
+                [self.evaluate_genome(genome) for genome in matrix.to_genomes()]
+            )
         return self._evaluate_matrix_vector(matrix)
 
-    def _evaluate_matrix_vector(
-        self, matrix: GenomeMatrix
-    ) -> List[EvaluationResult]:
+    def _evaluate_matrix_vector(self, matrix: GenomeMatrix) -> ResultBatch:
         """In-process vector-engine path of :meth:`evaluate_matrix`."""
         data = matrix.data
         count = len(data)
@@ -453,145 +621,134 @@ class DesignEvaluator:
             raise ValueError(
                 f"order must be a permutation of all dims, got {level.tolist()}"
             )
-        raw = data.tobytes()
-        step = data.shape[1] * 8
-        fingerprints = [raw[i * step : i * step + step] for i in range(count)]
-        # Rows repeated within the call are priced once; nothing is kept
-        # across calls.
-        slots: List[int] = [0] * count
-        pending: dict = {}
-        unique_rows: List[int] = []
-        for position, fingerprint in enumerate(fingerprints):
-            slot = pending.get(fingerprint)
-            if slot is None:
-                slot = pending[fingerprint] = len(unique_rows)
-                unique_rows.append(position)
-            slots[position] = slot
-
-        unique_matrix = data[np.array(unique_rows, dtype=np.int64)]
         performances = self.cost_model.evaluate_model_matrix(
             self.model,
-            unique_matrix,
+            data,
             noc_bandwidth=self.platform.noc_bandwidth,
             dram_bandwidth=self.platform.dram_bandwidth,
         )
-        if self.fixed_hardware is None and self.buffer_allocation == "exact":
-            unique_results = self._score_matrix_rows(
-                unique_matrix, unique_rows, fingerprints, performances
-            )
-        else:
-            unique_results = [
-                self._score_performance(
-                    performance,
-                    pe_array=tuple(
-                        int(data[position, level * LEVEL_WIDTH])
-                        for level in range(matrix.num_levels)
-                    ),
-                    mapping_fingerprint=fingerprints[position],
-                )
-                for position, performance in zip(unique_rows, performances)
-            ]
-        return [
-            _with_row_genome(unique_results[slot], fingerprint)
-            for slot, fingerprint in zip(slots, fingerprints)
-        ]
+        rows = self._score_columns(data, performances)
+        return ResultBatch(rows.fitnesses, rows.valid, parts=[(0, rows)])
 
-    def _score_matrix_rows(
-        self,
-        unique_matrix: np.ndarray,
-        unique_rows: List[int],
-        fingerprints: List[bytes],
-        performances: List[ModelPerformance],
-    ) -> List[EvaluationResult]:
-        """Score freshly priced gene rows with the scoring math inlined.
+    def _score_columns(
+        self, data: np.ndarray, performances: PerformanceBatch
+    ) -> _ScoredRows:
+        """Score a priced gene matrix column by column.
 
-        Bit-identical to calling :meth:`_score_performance` per design
-        (every arithmetic operation is performed in the same order on the
-        same scalars); the per-design dataclass machinery is replaced by
-        bulk ``__dict__`` construction, which matters when a generation
-        scores hundreds of designs.  Only the derived-hardware / exact-
-        buffer configuration takes this path.
+        The arithmetic of :meth:`_score_performance` — derived hardware
+        (either buffer allocation) or the fixed hardware, area breakdown,
+        constraint check, objective values and fitness — runs on whole
+        columns in the same operation order on the same float64 / int64
+        values, so every entry carries the oracle's bits.  Rows whose
+        integer products could leave int64, or whose requirements are not
+        exact in float64, are scored by :meth:`_score_performance` itself
+        and kept in the ``oracle`` dict.
         """
         area_model = self.area_model
-        pe_area_um2 = area_model.pe_area_um2
-        l1_per_byte = area_model.l1_area_per_byte_um2
-        l2_per_byte = area_model.l2_area_per_byte_um2
         budget = self.platform.area_budget_um2
-        noc_bandwidth = self.platform.noc_bandwidth
-        dram_bandwidth = self.platform.dram_bandwidth
-        bytes_per_element = self.bytes_per_element
-        objective = self.objective
-        objectives = self.objectives
-        num_levels = unique_matrix.shape[1] // LEVEL_WIDTH
-        spatial_columns = [
-            unique_matrix[:, level * LEVEL_WIDTH].tolist()
-            for level in range(num_levels)
-        ]
-        results: List[EvaluationResult] = []
-        for index, performance in enumerate(performances):
-            l1_size = performance.l1_requirement_bytes
-            if l1_size < 1:
-                l1_size = 1
-            l2_size = performance.l2_requirement_bytes
-            if l2_size < 1:
-                l2_size = 1
-            pe_array = tuple(column[index] for column in spatial_columns)
-            num_pes = 1
-            for extent in pe_array:
-                num_pes *= extent
-            hardware = object.__new__(HardwareConfig)
-            hardware.__dict__.update(
-                pe_array=pe_array,
-                l1_size=l1_size,
-                l2_size=l2_size,
-                noc_bandwidth=noc_bandwidth,
-                dram_bandwidth=dram_bandwidth,
-                bytes_per_element=bytes_per_element,
-                frequency_mhz=_DEFAULT_FREQUENCY_MHZ,
+        fixed = self.fixed_hardware
+        count = len(data)
+        spatial = data[:, ::LEVEL_WIDTH]
+        l1 = performances.l1_requirement_bytes
+        l2 = performances.l2_requirement_bytes
+        risky = np.zeros(count, dtype=bool)
+        if l1.dtype != np.int64 or l2.dtype != np.int64:
+            # A layer requirement beyond int64: the oracle scores every row.
+            risky[:] = True
+            l1 = l2 = np.ones(count, dtype=np.int64)
+        if fixed is None:
+            # PE counts, and PE counts times L1 sizes, that could leave
+            # int64 go to the oracle (float estimates, far inside the guard).
+            risky |= np.prod(spatial.astype(np.float64), axis=1) >= _INT64_GUARD
+            num_pes = spatial[:, 0]
+            for level in range(1, spatial.shape[1]):
+                num_pes = num_pes * spatial[:, level]
+            l1_size = np.maximum(l1, 1)
+            l2_size = np.maximum(l2, 1)
+            risky |= (
+                num_pes.astype(np.float64) * l1_size.astype(np.float64)
+                >= _INT64_GUARD
             )
-            pe_area = num_pes * pe_area_um2
-            l1_area = num_pes * l1_size * l1_per_byte
-            l2_area = l2_size * l2_per_byte
-            area = object.__new__(AreaBreakdown)
-            area.__dict__.update(
-                pe_area=pe_area, l1_area=l1_area, l2_area=l2_area
-            )
+            pe_area = num_pes * area_model.pe_area_um2
+            l1_area = num_pes * l1_size * area_model.l1_area_per_byte_um2
+            if self.buffer_allocation == "fill":
+                leftover = budget - (pe_area + l1_area)
+                grown = leftover // area_model.l2_area_per_byte_um2
+                risky |= grown >= _INT64_GUARD
+                grown = np.clip(grown, -_INT64_GUARD, _INT64_GUARD).astype(np.int64)
+                l2_size = np.where(
+                    leftover > 0, _first_max(l2_size, grown), l2_size
+                )
+            l2_area = l2_size * area_model.l2_area_per_byte_um2
             total = pe_area + (l1_area + l2_area)
-            if objective is Objective.LATENCY:
-                value = performance.latency
-            elif objective is Objective.LATENCY_AREA_PRODUCT:
-                value = performance.latency * total
-            else:
-                value = objective_value(objective, performance, area)
-            if total / budget > 1.0:
-                check = self.constraint_checker.check(hardware, area)
-                fitness = self._fitness(value, False, check.severity)
-                valid = False
-                violations = check.violations
-            else:
-                fitness = -value
-                valid = True
-                violations = ()
-            design = LazyRowMappingDesign.build(
-                hardware, fingerprints[unique_rows[index]], performance, area
+            buffers = list(zip(l1_size.tolist(), l2_size.tolist()))
+            areas = list(zip(pe_area.tolist(), l1_area.tolist(), l2_area.tolist()))
+            ratio = total / budget
+            over = ratio > 1.0
+            valid = ~over
+            severity = np.where(over, ratio, 1.0)
+        else:
+            buffers = None
+            areas = area_model.breakdown(fixed)
+            total = np.full(count, areas.total)
+            ratio = areas.total / budget
+            severity = np.full(count, max(1.0, ratio))
+            valid = np.full(count, not ratio > 1.0)
+            risky |= (l1 >= _FLOAT_EXACT) | (l2 >= _FLOAT_EXACT)
+            if max(fixed.l1_size, fixed.l2_size) >= _FLOAT_EXACT:
+                risky[:] = True
+            for requirement, capacity in ((l1, fixed.l1_size), (l2, fixed.l2_size)):
+                over = requirement > capacity
+                valid &= ~over
+                severity = np.where(
+                    over, _first_max(severity, requirement / capacity), severity
+                )
+        latency = performances.latency
+        energy = performances.energy
+        values = objective_column(self.objective, latency, energy, total)
+        vectors = None
+        if self.objectives is not None:
+            vectors = list(
+                zip(
+                    *(
+                        objective_column(objective, latency, energy, total).tolist()
+                        for objective in self.objectives
+                    )
+                )
             )
-            result = object.__new__(EvaluationResult)
-            result.__dict__.update(
-                fitness=fitness,
-                valid=valid,
-                objective=objective,
-                objective_value=value,
-                design=design,
-                violations=violations,
-                genome=None,
-                objective_vector=(
-                    objectives.values(performance, area)
-                    if objectives is not None
-                    else None
-                ),
+        fitness = np.where(
+            valid,
+            -values,
+            -INVALID_FITNESS_SCALE * _first_max(1.0, severity),
+        )
+        fitnesses = fitness.tolist()
+        valid_list = valid.tolist()
+        oracle: Dict[int, EvaluationResult] = {}
+        for position in np.flatnonzero(risky).tolist():
+            result = self._score_performance(
+                performances[position],
+                pe_array=tuple(spatial[position].tolist()),
+                mapping_fingerprint=data[position].tobytes(),
             )
-            results.append(result)
-        return results
+            oracle[position] = result
+            fitnesses[position] = result.fitness
+            valid_list[position] = result.valid
+        return _ScoredRows(
+            data=data,
+            performances=performances,
+            fitnesses=fitnesses,
+            valid=valid_list,
+            values=values.tolist(),
+            vectors=vectors,
+            buffers=buffers,
+            areas=areas,
+            oracle=oracle,
+            objective=self.objective,
+            checker=self.constraint_checker,
+            fixed_hardware=fixed,
+            platform=self.platform,
+            bytes_per_element=self.bytes_per_element,
+        )
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -620,7 +777,7 @@ class DesignEvaluator:
 
     def _map_chunks(
         self, chunks: List[GenomeMatrix], width: int
-    ) -> List[List[EvaluationResult]]:
+    ) -> List[ResultBatch]:
         """Map deterministic matrix chunks over the pool, surviving dead workers.
 
         ``pool.map`` yields chunk results in input order, so when a worker
@@ -634,7 +791,7 @@ class DesignEvaluator:
         re-dispatches and every evaluation is a pure function of its genes,
         so results are bit-identical to an undisturbed pool run.
         """
-        outputs: List[Optional[List[EvaluationResult]]] = [None] * len(chunks)
+        outputs: List[Optional[ResultBatch]] = [None] * len(chunks)
         pending = list(range(len(chunks)))
         while pending:
             if self._pool_degraded:

@@ -15,6 +15,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple, Union
 
+import numpy as np
+
 from repro.arch.area import AreaBreakdown
 from repro.cost.performance import ModelPerformance
 
@@ -55,6 +57,31 @@ def objective_value(
         return area.total
     if objective is Objective.LATENCY_AREA_PRODUCT:
         return performance.latency * area.total
+    raise ValueError(f"unhandled objective {objective!r}")
+
+
+def objective_column(
+    objective: Objective,
+    latency: np.ndarray,
+    energy: np.ndarray,
+    area_total: np.ndarray,
+) -> np.ndarray:
+    """:func:`objective_value` over a priced batch, one entry per design.
+
+    ``latency``, ``energy`` and ``area_total`` are per-design float64
+    arrays; each entry is computed with the same float operations as
+    :func:`objective_value`, so it carries the same bits.
+    """
+    if objective is Objective.LATENCY:
+        return latency
+    if objective is Objective.ENERGY:
+        return energy
+    if objective is Objective.EDP:
+        return latency * energy
+    if objective is Objective.AREA:
+        return area_total
+    if objective is Objective.LATENCY_AREA_PRODUCT:
+        return latency * area_total
     raise ValueError(f"unhandled objective {objective!r}")
 
 

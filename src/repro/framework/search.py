@@ -23,7 +23,7 @@ from repro.encoding.genome import Genome, GenomeSpace
 from repro.encoding.genome_matrix import GenomeMatrix, repaired_matrix
 from repro.encoding.repair import repaired_copy
 from repro.encoding.vector_codec import VectorCodec
-from repro.framework.evaluator import DesignEvaluator, EvaluationResult
+from repro.framework.evaluator import DesignEvaluator, EvaluationResult, ResultBatch
 from repro.framework.pareto import ParetoArchive
 
 
@@ -125,11 +125,9 @@ class SearchTracker:
         callers should stop when that happens.  Results are bit-identical
         to evaluating the same genomes one by one.
         """
-        return [result.fitness for result in self.evaluate_batch_results(genomes)]
+        return self.evaluate_batch_results(genomes).fitnesses
 
-    def evaluate_batch_results(
-        self, genomes: Sequence[Genome]
-    ) -> List[EvaluationResult]:
+    def evaluate_batch_results(self, genomes: Sequence[Genome]) -> ResultBatch:
         """Batched view returning full results instead of scalar fitnesses.
 
         Multi-objective algorithms need the per-objective vectors (and the
@@ -141,7 +139,7 @@ class SearchTracker:
         batch = list(genomes)[: self.remaining]
         if not batch:
             self.batch_calls += 1
-            return []
+            return ResultBatch([], [])
         return self.evaluate_matrix_results(GenomeMatrix.from_genomes(batch))
 
     def evaluate_matrix(self, matrix: GenomeMatrix) -> List[float]:
@@ -149,26 +147,27 @@ class SearchTracker:
 
         The matrix-native counterpart of :meth:`evaluate_batch` — same
         budget/truncation semantics, bit-identical fitnesses — fed by the
-        population data path: one vectorized repair pass, the evaluator's
-        fingerprint-keyed design reuse, then the packed vector engine.  No per-member ``Genome`` is constructed.
+        population data path: one vectorized repair pass, then the
+        evaluator's packed vector engine and array scoring.  No per-member
+        ``Genome`` is constructed, and the only result objects built are
+        the ones that improve on the best so far (plus, with a Pareto
+        archive, the valid ones it is offered).
         """
-        return [result.fitness for result in self.evaluate_matrix_results(matrix)]
+        return self.evaluate_matrix_results(matrix).fitnesses
 
-    def evaluate_matrix_results(
-        self, matrix: GenomeMatrix
-    ) -> List[EvaluationResult]:
-        """Gene-matrix view returning full results (multi-objective loops)."""
+    def evaluate_matrix_results(self, matrix: GenomeMatrix) -> ResultBatch:
+        """Gene-matrix view returning the lazy result batch (multi-objective
+        loops read its results; see :class:`ResultBatch`)."""
         batch = matrix.truncated(min(len(matrix), self.remaining))
         if len(batch) == 0:
             self.batch_calls += 1
-            return []
-        repaired = repaired_matrix(batch, self.space)
-        results = self.evaluator.evaluate_matrix(repaired)
+            return ResultBatch([], [])
+        results = self.evaluator.evaluate_matrix(
+            repaired_matrix(batch, self.space)
+        )
         self.batch_calls += 1
         self.batched_evaluations += len(results)
-        for result in results:
-            self.evaluations += 1
-            self._record(result)
+        self._record_batch(results)
         return results
 
     def evaluate_vector_batch(self, vectors: Sequence[np.ndarray]) -> List[float]:
@@ -251,6 +250,29 @@ class SearchTracker:
                 f"sampling budget of {self.sampling_budget} evaluations exhausted"
             )
         self.evaluations += 1
+
+    def _record_batch(self, results: ResultBatch) -> None:
+        """:meth:`_record` over a priced batch, in row order.
+
+        Best-so-far and history scan the fitness list and build only the
+        results that improve on the best; the archive is offered every
+        valid result, in order.  The two never read each other's state, so
+        this equals calling :meth:`_record` row by row.
+        """
+        start = self.evaluations
+        best_fitness = None if self.best is None else self.best.fitness
+        for offset, fitness in enumerate(results.fitnesses):
+            if best_fitness is None or fitness > best_fitness:
+                best_fitness = fitness
+                self.best = results[offset]
+                self.history.append((start + offset + 1, fitness))
+        self.evaluations = start + len(results)
+        if self.archive is not None:
+            for offset, valid in enumerate(results.valid):
+                if valid:
+                    result = results[offset]
+                    if result.objective_vector is not None:
+                        self.archive.add(result)
 
     def _record(self, result: EvaluationResult) -> None:
         if self.best is None or result.fitness > self.best.fitness:

@@ -71,7 +71,11 @@ class _BudgetSlice:
         return fitnesses
 
     def evaluate_matrix(self, matrix: GenomeMatrix) -> List[float]:
-        return [result.fitness for result in self.evaluate_matrix_results(matrix)]
+        fitnesses = self._tracker.evaluate_matrix(
+            matrix.truncated(min(len(matrix), self.remaining))
+        )
+        self._used += len(fitnesses)
+        return fitnesses
 
     def evaluate_matrix_results(
         self, matrix: GenomeMatrix

@@ -441,10 +441,13 @@ def check_regression(
 
 
 def _pareto_signature(model, budget: int, **kwargs) -> tuple:
-    """Front values and history of a 3-level NSGA-II latency/energy/area run.
+    """Front values, archive order and history of a 3-level NSGA-II
+    latency/energy/area run.
 
     The tracker is built as :meth:`CoOptimizationFramework.pareto_search`
-    builds it, so the run also exposes its best-so-far history.
+    builds it, so the run also exposes its best-so-far history.  The
+    archive's objective vectors in insertion order are part of the
+    signature: that order decides crowding eviction and checkpoint bytes.
     """
     framework = CoOptimizationFramework(
         model,
@@ -460,7 +463,11 @@ def _pareto_signature(model, budget: int, **kwargs) -> tuple:
         NSGA2().run(tracker, np.random.default_rng(0))
     except BudgetExhausted:
         pass
-    return tracker.archive.front_values(), tracker.history
+    return (
+        tracker.archive.front_values(),
+        tracker.history,
+        [entry.objective_vector for entry in tracker.archive.entries_in_order()],
+    )
 
 
 def _lap_signature(model, budget: int, **kwargs) -> tuple:

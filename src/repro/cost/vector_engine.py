@@ -73,6 +73,10 @@ INT_FIELDS = (4, 9, 10, 11, 12)
 #: brushes the limit can never sneak past the flag after rounding.
 _EXACT_LIMIT = float(2**53) * (1.0 - 1e-9)
 
+#: An int64 product whose float64 estimate reaches this bound could wrap
+#: (the margin below 2**63 dwarfs the estimate's rounding error).
+_INT64_GUARD = float(2**62)
+
 #: Below this many rows the NumPy fixed costs outweigh the per-row win and
 #: the batch is simply evaluated by the scalar engine.
 MIN_VECTOR_ROWS = 8
@@ -617,11 +621,17 @@ class VectorEngine:
             ),
             axis=1,
         )
+        # PE counts are int64 products; rows whose count could wrap (its
+        # float estimate reaches the guard) go to the scalar engine.
+        # active_pes <= num_pes, so one estimate covers both.
         active_pes = actives[0]
         num_pes = spatial[0]
+        pe_estimate = spatial[0].astype(np.float64)
         for level in range(1, num_levels):
             active_pes = active_pes * actives[level]
             num_pes = num_pes * spatial[level]
+            pe_estimate = pe_estimate * spatial[level]
+        inexact |= pe_estimate >= _INT64_GUARD
         safe = ~inexact
         int_columns = np.stack(
             (

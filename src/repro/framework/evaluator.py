@@ -196,12 +196,15 @@ def _first_max(first, second) -> np.ndarray:
 class ResultBatch(Sequence):
     """A priced population whose results are built when read.
 
-    :attr:`fitnesses` and :attr:`valid` are plain lists over the whole
-    batch: all a GA loop or the tracker's best-so-far scan reads.
+    :attr:`fitnesses`, :attr:`valid` and :attr:`vectors` are plain lists
+    over the whole batch: all a GA loop, NSGA-II's ranking or the tracker's
+    best-so-far scan and Pareto-archive offers read.  ``vectors`` holds
+    each row's objective vector (the ``objective_vector`` its result
+    carries) and is None when the evaluator searches no objective set.
     ``batch[i]`` builds row ``i``'s :class:`EvaluationResult` on first
     access and returns the same object afterwards, so a generation that
-    only needs its fitnesses never builds a result object.  Batches
-    pickle (pool workers return them) and concatenate (:meth:`join`).
+    only needs its columns never builds a result object.  Batches pickle
+    (pool workers return them) and concatenate (:meth:`join`).
     """
 
     def __init__(
@@ -210,9 +213,11 @@ class ResultBatch(Sequence):
         valid: List[bool],
         results: Optional[List[Optional[EvaluationResult]]] = None,
         parts: Sequence[Tuple[int, "_ScoredRows"]] = (),
+        vectors: Optional[List[Tuple[float, ...]]] = None,
     ):
         self.fitnesses = fitnesses
         self.valid = valid
+        self.vectors = vectors
         self._results = [None] * len(fitnesses) if results is None else results
         #: ``(offset, rows)``: positions from ``offset`` on that are still
         #: unbuilt come from ``rows.build(position - offset)``.
@@ -222,10 +227,12 @@ class ResultBatch(Sequence):
     def of(cls, results: Sequence[EvaluationResult]) -> "ResultBatch":
         """A batch of already-built results."""
         results = list(results)
+        vectors = [result.objective_vector for result in results]
         return cls(
             [result.fitness for result in results],
             [result.valid for result in results],
             results,
+            vectors=None if all(vector is None for vector in vectors) else vectors,
         )
 
     @classmethod
@@ -235,6 +242,7 @@ class ResultBatch(Sequence):
             return batches[0]
         fitnesses: List[float] = []
         valid: List[bool] = []
+        vectors: Optional[List[Tuple[float, ...]]] = []
         results: List[Optional[EvaluationResult]] = []
         parts: List[Tuple[int, "_ScoredRows"]] = []
         for batch in batches:
@@ -242,8 +250,12 @@ class ResultBatch(Sequence):
             parts.extend((offset + start, rows) for start, rows in batch._parts)
             fitnesses += batch.fitnesses
             valid += batch.valid
+            if vectors is not None and batch.vectors is not None:
+                vectors += batch.vectors
+            else:
+                vectors = None
             results += batch._results
-        return cls(fitnesses, valid, results, parts)
+        return cls(fitnesses, valid, results, parts, vectors)
 
     def __len__(self) -> int:
         return len(self.fitnesses)
@@ -271,8 +283,9 @@ class _ScoredRows:
     Holds what :meth:`build` needs to turn row ``i`` into the
     :class:`RowGenomeResult` that :meth:`DesignEvaluator._score_performance`
     would have produced, field for field; rows the array scoring could not
-    price exactly arrive pre-scored in ``oracle``.  The per-row fields are
-    Python lists (one C-level ``tolist`` per column).  Under fixed
+    price exactly arrive pre-scored in ``oracle``, and their ``fitnesses``,
+    ``valid`` and ``vectors`` entries are the oracle's.  The per-row fields
+    are Python lists (one C-level ``tolist`` per column).  Under fixed
     hardware ``buffers`` is None and ``areas`` is the shared
     :class:`AreaBreakdown`; otherwise they hold per-row ``(l1_size,
     l2_size)`` and ``(pe_area, l1_area, l2_area)`` tuples.
@@ -628,7 +641,9 @@ class DesignEvaluator:
             dram_bandwidth=self.platform.dram_bandwidth,
         )
         rows = self._score_columns(data, performances)
-        return ResultBatch(rows.fitnesses, rows.valid, parts=[(0, rows)])
+        return ResultBatch(
+            rows.fitnesses, rows.valid, parts=[(0, rows)], vectors=rows.vectors
+        )
 
     def _score_columns(
         self, data: np.ndarray, performances: PerformanceBatch
@@ -733,6 +748,8 @@ class DesignEvaluator:
             oracle[position] = result
             fitnesses[position] = result.fitness
             valid_list[position] = result.valid
+            if vectors is not None:
+                vectors[position] = result.objective_vector
         return _ScoredRows(
             data=data,
             performances=performances,

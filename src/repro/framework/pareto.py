@@ -12,7 +12,7 @@ collects the front of *every* search, and the analysis helpers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,17 +41,32 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return strictly_better
 
 
+def _no_worse(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``out[i, j]`` is True when ``rows[i] <= columns[j]`` on every axis.
+
+    One ``(len(rows), len(columns))`` comparison per objective axis, folded
+    with ``&=``: no 3-D broadcast, no reduction over a short last axis.
+    """
+    out = rows[:, 0, None] <= columns[None, :, 0]
+    for axis in range(1, rows.shape[1]):
+        out &= rows[:, axis, None] <= columns[None, :, axis]
+    return out
+
+
 def _domination_matrix(values: Sequence[Sequence[float]]) -> np.ndarray:
     """Pairwise dominance: ``matrix[i, j]`` is True when ``i`` dominates ``j``.
 
-    One broadcasted comparison instead of O(N^2) Python ``dominates``
-    calls; the diagonal is False (a vector never dominates itself) and
-    equal vectors never dominate each other, matching :func:`dominates`.
+    ``i`` dominates ``j`` when it is no worse on every axis and strictly
+    better on one.  Where ``i`` is no worse than ``j`` no axis of the pair
+    holds NaN, so "strictly better somewhere" is exactly "``j`` is not no
+    worse than ``i``": one per-axis ``no_worse`` matrix and its transpose
+    give the relation.  The diagonal is False and equal vectors never
+    dominate each other, matching :func:`dominates` on NaN-free vectors (a
+    NaN axis is never "no worse" here).
     """
     matrix = np.asarray(values, dtype=float)
-    no_worse = (matrix[:, None, :] <= matrix[None, :, :]).all(axis=2)
-    strictly_better = (matrix[:, None, :] < matrix[None, :, :]).any(axis=2)
-    return no_worse & strictly_better
+    no_worse = _no_worse(matrix, matrix)
+    return no_worse & ~no_worse.T
 
 
 def non_dominated_indices(values: Sequence[Sequence[float]]) -> List[int]:
@@ -141,6 +156,11 @@ class ParetoArchive:
     kept).  When an insertion would exceed the capacity the most crowded
     point is evicted, which preserves the per-objective extremes (their
     crowding distance is infinite).
+
+    Results arrive in batches through :meth:`offer`: the offered objective
+    vectors are walked in order exactly as one-by-one insertions would be,
+    and a result object is built only for the offers still archived at the
+    end of the batch.  :meth:`add` is a one-row :meth:`offer`.
     """
 
     def __init__(self, capacity: int = DEFAULT_ARCHIVE_CAPACITY):
@@ -148,30 +168,84 @@ class ParetoArchive:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: Dict[Tuple[float, ...], EvaluationResult] = {}
+        #: The archived vectors as float rows in insertion order, kept by
+        #: :meth:`offer` so a one-row offer does not re-convert the
+        #: archive; None until derived from ``_entries`` again.
+        self._values: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def add(self, result: EvaluationResult) -> bool:
         """Offer a result to the archive; True when it enters the front."""
-        vector = result.objective_vector
-        if vector is None:
+        return self.offer([result.objective_vector], lambda _: result)[0]
+
+    def offer(
+        self,
+        vectors: Sequence[Optional[Sequence[float]]],
+        build: Callable[[int], EvaluationResult],
+    ) -> List[bool]:
+        """Offer a batch of objective vectors in order; one flag per offer.
+
+        Equals offering them one at a time: an offer is rejected when an
+        archived vector equals or dominates it, otherwise it removes the
+        archived vectors it dominates, is appended, and — past
+        ``capacity`` — the most crowded archived vector (first minimum of
+        :func:`crowding_distances` in insertion order) is evicted, possibly
+        the offer itself.  A flag is True when its offer was appended, even
+        if a later eviction or offer removed it again.  ``build(i)``
+        returns the result of offer ``i`` and is called only for offers
+        still archived when the batch ends.
+
+        Surviving entries keep their relative order and every offer is
+        appended after all of them, so insertion order is index order over
+        ``(archive, offers)``: the walk is a boolean ``alive`` mask over
+        that concatenation, against two no-worse matrices computed once.
+        Comparisons follow :func:`_domination_matrix` (NaN-free vectors
+        compare exactly as :func:`dominates` and tuple equality do).
+        """
+        if any(vector is None for vector in vectors):
             raise ValueError("archive results need an objective_vector")
-        vector = tuple(vector)
-        if vector in self._entries:
-            return False
-        for existing in self._entries:
-            if dominates(existing, vector):
-                return False
-        self._entries = {
-            existing: entry
-            for existing, entry in self._entries.items()
-            if not dominates(vector, existing)
-        }
-        self._entries[vector] = result
-        if len(self._entries) > self.capacity:
-            self._evict_most_crowded()
-        return True
+        if not vectors:
+            return []
+        offered_keys = [tuple(vector) for vector in vectors]
+        offered = np.asarray(offered_keys, dtype=float)
+        values = self._values
+        if values is None:
+            values = np.asarray(list(self._entries), dtype=float)
+            values = values.reshape(-1, offered.shape[1])
+        archived = len(values)
+        matrix = np.concatenate((values, offered))
+        # covered[j, i]: entry i equals or dominates offer j.
+        # beats[j, i]: offer j is no worse than entry i (it dominates i
+        # unless i also covers it).
+        covered = np.ascontiguousarray(_no_worse(matrix, offered).T)
+        beats = _no_worse(offered, matrix)
+        alive = np.zeros(len(matrix), dtype=bool)
+        alive[:archived] = True
+        accepted = []
+        for offer in range(len(offered)):
+            if (alive & covered[offer]).any():
+                accepted.append(False)
+                continue
+            alive &= covered[offer] | ~beats[offer]
+            alive[archived + offer] = True
+            accepted.append(True)
+            if np.count_nonzero(alive) > self.capacity:
+                live = np.flatnonzero(alive)
+                alive[live[np.argmin(crowding_distances(matrix[live]))]] = False
+        if not any(accepted):
+            return accepted
+        survivors = np.flatnonzero(alive)
+        entries = list(self._entries.items())
+        self._entries = dict(
+            entries[index]
+            if index < archived
+            else (offered_keys[index - archived], build(index - archived))
+            for index in survivors.tolist()
+        )
+        self._values = matrix[survivors]
+        return accepted
 
     def front(self) -> List[EvaluationResult]:
         """The archived results, sorted by objective vector."""
@@ -189,11 +263,12 @@ class ParetoArchive:
     def restore_entries(self, results) -> None:
         """Reload a checkpoint snapshot, preserving its insertion order.
 
-        Entries are reinserted directly (not through :meth:`add`): a
+        Entries are reinserted directly (not through :meth:`offer`): a
         snapshot is already deduplicated and mutually non-dominated, and
         re-filtering could reorder ties.
         """
         self._entries = {}
+        self._values = None
         for result in results:
             if result.objective_vector is None:
                 raise ValueError("archive results need an objective_vector")
@@ -202,12 +277,6 @@ class ParetoArchive:
     def front_values(self) -> List[Tuple[float, ...]]:
         """The archived objective vectors, sorted."""
         return sorted(self._entries)
-
-    def _evict_most_crowded(self) -> None:
-        vectors = list(self._entries)
-        distances = crowding_distances(vectors)
-        victim = vectors[int(np.argmin(distances))]
-        del self._entries[victim]
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,7 @@ class SearchTracker:
         evaluator's packed vector engine and array scoring.  No per-member
         ``Genome`` is constructed, and the only result objects built are
         the ones that improve on the best so far (plus, with a Pareto
-        archive, the valid ones it is offered).
+        archive, the offered ones it still holds after the batch).
         """
         return self.evaluate_matrix_results(matrix).fitnesses
 
@@ -254,10 +254,13 @@ class SearchTracker:
     def _record_batch(self, results: ResultBatch) -> None:
         """:meth:`_record` over a priced batch, in row order.
 
-        Best-so-far and history scan the fitness list and build only the
-        results that improve on the best; the archive is offered every
-        valid result, in order.  The two never read each other's state, so
-        this equals calling :meth:`_record` row by row.
+        Best-so-far and history scan the fitness column and build only the
+        results that improve on the best.  The archive is offered the
+        objective vectors of the valid rows, in order, in one
+        :meth:`~repro.framework.pareto.ParetoArchive.offer`, which builds
+        only the results it still holds at the end.  The two never read
+        each other's state, so this equals calling :meth:`_record` row by
+        row.
         """
         start = self.evaluations
         best_fitness = None if self.best is None else self.best.fitness
@@ -267,12 +270,12 @@ class SearchTracker:
                 self.best = results[offset]
                 self.history.append((start + offset + 1, fitness))
         self.evaluations = start + len(results)
-        if self.archive is not None:
-            for offset, valid in enumerate(results.valid):
-                if valid:
-                    result = results[offset]
-                    if result.objective_vector is not None:
-                        self.archive.add(result)
+        vectors = results.vectors
+        if self.archive is not None and vectors is not None:
+            rows = [offset for offset, valid in enumerate(results.valid) if valid]
+            self.archive.offer(
+                [vectors[row] for row in rows], lambda index: results[rows[index]]
+            )
 
     def _record(self, result: EvaluationResult) -> None:
         if self.best is None or result.fitness > self.best.fitness:

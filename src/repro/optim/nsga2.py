@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.encoding.genome_matrix import GenomeMatrix
-from repro.framework.evaluator import EvaluationResult
+from repro.framework.evaluator import ResultBatch
 from repro.framework.pareto import crowding_distances, fast_non_dominated_sort
 from repro.framework.search import SearchTracker
 from repro.optim.base import (
@@ -140,10 +140,7 @@ class NSGA2(Optimizer):
             results = evaluate(population)
             if len(results) < len(rows):
                 return
-            values = [
-                self._ranking_vector(result, num_objectives)
-                for result in results
-            ]
+            values = self._ranking_vectors(results, num_objectives)
 
         # Selection and reproduction consult only rows + ranking vectors
         # (full EvaluationResults live in the tracker's archive), so the
@@ -159,9 +156,15 @@ class NSGA2(Optimizer):
         while not tracker.exhausted:
             checkpoint_generation(tracker, loop_state)
             ranks, crowding = self._rank(values)
+            # Per-axis extreme individual: np.argmin returns the first
+            # minimum, the tie rule of min() over the population.  Ranking
+            # vectors hold finite objectives or graded penalties, never
+            # NaN.  In a column holding NaN, argmin returns the first NaN,
+            # whereas min() never replaced its running minimum by a NaN.
+            extremes = np.argmin(values, axis=0).tolist()
             children = [
                 self._make_child_row(
-                    rows, values, ranks, crowding, space, num_levels, rng
+                    rows, extremes, ranks, crowding, space, num_levels, rng
                 )
                 for _ in range(population_size)
             ]
@@ -172,10 +175,9 @@ class NSGA2(Optimizer):
                 return  # budget ran out mid-generation; tracker has the rest
 
             combined_rows = rows + children
-            combined_values = values + [
-                self._ranking_vector(result, num_objectives)
-                for result in child_results
-            ]
+            combined_values = values + self._ranking_vectors(
+                child_results, num_objectives
+            )
             survivors = self._environmental_selection(
                 combined_values, population_size
             )
@@ -239,7 +241,7 @@ class NSGA2(Optimizer):
     def _make_child_row(
         self,
         rows: List[List[int]],
-        values: List[Tuple[float, ...]],
+        extremes: List[int],
         ranks: np.ndarray,
         crowding: np.ndarray,
         space,
@@ -250,9 +252,7 @@ class NSGA2(Optimizer):
         the row twins of DiGamma's structured operators."""
         params = self.hyper_parameters
         if rng.random() < params.extreme_bias:
-            axis = int(rng.integers(len(values[0])))
-            extreme = min(range(len(values)), key=lambda i: values[i][axis])
-            parent_a = rows[extreme]
+            parent_a = rows[extremes[int(rng.integers(len(extremes)))]]
         else:
             parent_a = rows[self._tournament(ranks, crowding, rng)]
         parent_b = rows[self._tournament(ranks, crowding, rng)]
@@ -274,21 +274,24 @@ class NSGA2(Optimizer):
     # -- ranking vectors -----------------------------------------------------
 
     @staticmethod
-    def _ranking_vector(
-        result: EvaluationResult, num_objectives: int
-    ) -> Tuple[float, ...]:
-        """Minimization vector NSGA-II ranks a result by.
+    def _ranking_vectors(
+        results: ResultBatch, num_objectives: int
+    ) -> List[Tuple[float, ...]]:
+        """Minimization vectors NSGA-II ranks a priced batch by.
 
-        Valid designs rank by their objective vector (or the scalar
-        objective when no vector was requested).  Invalid designs rank by
-        their graded penalty replicated across all axes: every valid point
-        dominates every invalid one, while less-severe violations dominate
-        more-severe ones — the multi-objective counterpart of the scalar
-        path's graded negative fitness.
+        Read from the batch columns, so no result object is built.  Valid
+        designs rank by their objective vector (or, with no objective set,
+        by the scalar objective value, which is ``-fitness``).  Invalid
+        designs rank by their graded penalty replicated across all axes:
+        every valid point dominates every invalid one, while less-severe
+        violations dominate more-severe ones — the multi-objective
+        counterpart of the scalar path's graded negative fitness.
         """
-        if result.valid:
-            vector = result.objective_vector
-            if vector is not None:
-                return tuple(vector)
-            return (result.objective_value,)
-        return (-result.fitness,) * num_objectives
+        if results.vectors is None:
+            return [(-fitness,) * num_objectives for fitness in results.fitnesses]
+        return [
+            vector if valid else (-fitness,) * num_objectives
+            for vector, valid, fitness in zip(
+                results.vectors, results.valid, results.fitnesses
+            )
+        ]

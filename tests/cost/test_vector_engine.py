@@ -22,6 +22,7 @@ from repro.arch.platform import CLOUD, EDGE
 from repro.cost.maestro import CostModel, LazyModelPerformance
 from repro.cost.vector_engine import MIN_VECTOR_ROWS
 from repro.encoding.genome import GenomeSpace
+from repro.encoding.genome_matrix import LEVEL_WIDTH, GenomeMatrix, row_to_genome
 from repro.encoding.repair import repair_genome, repaired_copy
 from repro.framework.evaluator import DesignEvaluator
 from repro.mapping.mapping import Mapping, mapping_from_cache_key, uniform_mapping
@@ -211,6 +212,33 @@ class TestScalarFallbacks:
             scalar = scalar_model.evaluate_model(model, mapping, 64.0, 16.0)
             _assert_reports_identical(batch_performance, scalar)
         assert batch_model.vector_stats["rows_fallback"] == 0
+
+    def test_pe_counts_beyond_int64_fall_back(self):
+        # Spatial genes (2**32, 2**32) make a PE count of 2**64, which an
+        # int64 product wraps to 0; the row must take the scalar engine and
+        # report the exact count, while its neighbours stay vectorized.
+        model = get_model("ncf")
+        space = GenomeSpace.from_model(model, max_pes=4096, num_levels=2)
+        rng = np.random.default_rng(43)
+        data = GenomeMatrix.from_genomes(
+            [
+                repair_genome(space.random_genome(rng), space)
+                for _ in range(MIN_VECTOR_ROWS)
+            ]
+        ).data.copy()
+        data[0, 0] = data[0, LEVEL_WIDTH] = 2**32
+        cost_model = CostModel()
+        batch = cost_model.evaluate_model_matrix(model, data, 64.0, 16.0)
+        scalar = CostModel()
+        for index, row in enumerate(data):
+            mapping = row_to_genome(row, 2).to_mapping()
+            _assert_reports_identical(
+                batch[index], scalar.evaluate_model(model, mapping, 64.0, 16.0)
+            )
+        assert batch[0].layers[0].num_pes == 2**64
+        stats = cost_model.vector_stats
+        assert stats["fallback_intermediate_overflow"] == len(model.unique_layers())
+        assert stats["rows_vectorized"] > 0
 
     def test_small_batches_use_the_scalar_engine(self):
         model = get_model("ncf")

@@ -636,16 +636,23 @@ class TestWriteBehind:
     def test_no_writer_thread_outlives_its_search(
         self, tmp_path, tiny_model, monkeypatch
     ):
+        # Only this search's writers count: threads other tests started may
+        # end at any time, so the global thread count is no measure.
+        def writers_alive():
+            return [
+                thread for thread in threading.enumerate()
+                if thread.name == "checkpoint-writer"
+            ]
+
         slow_fsync(monkeypatch)
-        before = threading.active_count()
         self.search(tiny_model, tmp_path / "completed")
-        assert threading.active_count() == before
+        assert writers_alive() == []
         with pytest.raises(SearchInterrupted):
             self.search(
                 tiny_model, tmp_path / "interrupted",
                 interrupt_check=InterruptAfter(2),
             )
-        assert threading.active_count() == before
+        assert writers_alive() == []
 
         def failing_fsync(descriptor):
             raise OSError(5, "simulated I/O error")
@@ -653,7 +660,7 @@ class TestWriteBehind:
         monkeypatch.setattr(os, "fsync", failing_fsync)
         with pytest.raises(OSError):
             self.search(tiny_model, tmp_path / "crashed")
-        assert threading.active_count() == before
+        assert writers_alive() == []
 
     def test_externally_closed_session_never_clears(self, tmp_path, tiny_model):
         # The sweep runner closes a timed-out attempt's sessions while the

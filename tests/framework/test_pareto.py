@@ -1,9 +1,12 @@
 """Tests for the multi-objective primitives and the Pareto search plumbing."""
 
+import math
 from typing import List, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.platform import EDGE
 from repro.framework.cooptimizer import CoOptimizationFramework
@@ -12,6 +15,7 @@ from repro.framework.objective import Objective, ObjectiveSet
 from repro.framework.pareto import (
     ParetoArchive,
     ParetoResult,
+    _domination_matrix,
     crowding_distances,
     dominates,
     fast_non_dominated_sort,
@@ -205,6 +209,88 @@ class TestParetoArchive:
                     violations=(),
                 )
             )
+
+
+class _ReferenceArchive:
+    """The per-result ``add`` loop that batched offers must reproduce."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = {}
+
+    def add(self, result):
+        vector = tuple(result.objective_vector)
+        if vector in self.entries:
+            return False
+        for existing in self.entries:
+            if dominates(existing, vector):
+                return False
+        self.entries = {
+            existing: entry
+            for existing, entry in self.entries.items()
+            if not dominates(vector, existing)
+        }
+        self.entries[vector] = result
+        if len(self.entries) > self.capacity:
+            vectors = list(self.entries)
+            del self.entries[vectors[int(np.argmin(crowding_distances(vectors)))]]
+        return True
+
+
+@st.composite
+def offer_batches(draw):
+    """Batches of k-objective vectors over a small value pool (duplicates,
+    ties and ``inf`` are common) and an archive capacity small enough that
+    eviction is forced; the first batches pre-fill the archive."""
+    k = draw(st.integers(1, 4))
+    value = st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0, 5.0, math.inf])
+    vector = st.tuples(*[value] * k)
+    batches = draw(
+        st.lists(st.lists(vector, min_size=1, max_size=12), min_size=1, max_size=4)
+    )
+    return draw(st.integers(1, 8)), batches
+
+
+class TestBatchedOffer:
+    # Crowding over an inf axis divides inf - inf; both sides share it.
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(case=offer_batches())
+    def test_matches_the_per_result_add_loop(self, case):
+        capacity, batches = case
+        archive = ParetoArchive(capacity)
+        reference = _ReferenceArchive(capacity)
+        for vectors in batches:
+            results = [make_result(vector) for vector in vectors]
+            built = []
+
+            def build(index):
+                built.append(index)
+                return results[index]
+
+            accepted = archive.offer(vectors, build)
+            assert accepted == [reference.add(result) for result in results]
+            entries = archive.entries_in_order()
+            want = list(reference.entries.values())
+            assert [id(entry) for entry in entries] == [id(entry) for entry in want]
+            assert [entry.objective_vector for entry in entries] == list(
+                reference.entries
+            )
+            survivors = {id(entry) for entry in entries}
+            assert sorted(built) == [
+                index for index, result in enumerate(results)
+                if id(result) in survivors
+            ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=offer_batches())
+    def test_domination_matrix_matches_pairwise_dominates(self, case):
+        _, batches = case
+        values = [vector for vectors in batches for vector in vectors]
+        matrix = _domination_matrix(values)
+        assert matrix.tolist() == [
+            [dominates(a, b) for b in values] for a in values
+        ]
 
 
 class TestParetoResultProperties:

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.encoding.genome import Genome, GenomeSpace
 from repro.encoding.vector_codec import VectorCodec
+from repro.framework.evaluator import ResultBatch
 from repro.framework.search import BudgetExhausted
 
 
@@ -69,9 +70,9 @@ class QuadraticTracker:
         return self._score(self.codec.encode(genome))
 
     def evaluate_matrix(self, matrix) -> List[float]:
-        return [result.fitness for result in self.evaluate_matrix_results(matrix)]
+        return self.evaluate_matrix_results(matrix).fitnesses
 
-    def evaluate_matrix_results(self, matrix) -> List[SimpleNamespace]:
+    def evaluate_matrix_results(self, matrix) -> ResultBatch:
         """Gene-matrix view, truncated to the remaining budget.
 
         Each result carries only the fields the GA loops read; as a
@@ -89,7 +90,7 @@ class QuadraticTracker:
                     objective_vector=None,
                 )
             )
-        return results
+        return ResultBatch.of(results)
 
     def first_sample_fitness(self) -> float:
         """Fitness of the very first sample (a random-start reference)."""
@@ -116,7 +117,7 @@ class BatchSpyTracker(QuadraticTracker):
         self.batched_evaluations += len(batch)
         return [self._score(self.codec.encode(genome)) for genome in batch]
 
-    def evaluate_matrix_results(self, matrix) -> List[SimpleNamespace]:
+    def evaluate_matrix_results(self, matrix) -> ResultBatch:
         results = super().evaluate_matrix_results(matrix)
         self.batch_calls += 1
         self.batched_evaluations += len(results)

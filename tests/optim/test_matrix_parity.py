@@ -166,6 +166,16 @@ class _ReferenceStdGA(StandardGA):
                     level.tiles[dim] = log_uniform_int(rng, 1, space.dim_bounds[dim])
 
 
+def _ranking_vector(result, num_objectives):
+    """The per-result ranking vector NSGA-II read before it ranked columns."""
+    if result.valid:
+        vector = result.objective_vector
+        if vector is not None:
+            return tuple(vector)
+        return (result.objective_value,)
+    return (-result.fitness,) * num_objectives
+
+
 class _ReferenceNSGA2(NSGA2):
     """The per-genome NSGA-II loop over the batched results view."""
 
@@ -182,7 +192,7 @@ class _ReferenceNSGA2(NSGA2):
         results = evaluate(population)
         if len(results) < len(population):
             return
-        values = [self._ranking_vector(result, num_objectives) for result in results]
+        values = [_ranking_vector(result, num_objectives) for result in results]
 
         while not tracker.exhausted:
             ranks, crowding = self._rank(values)
@@ -196,7 +206,7 @@ class _ReferenceNSGA2(NSGA2):
 
             combined_population = population + children
             combined_values = values + [
-                self._ranking_vector(result, num_objectives)
+                _ranking_vector(result, num_objectives)
                 for result in child_results
             ]
             survivors = self._environmental_selection(

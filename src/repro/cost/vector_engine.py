@@ -75,7 +75,7 @@ _EXACT_LIMIT = float(2**53) * (1.0 - 1e-9)
 
 #: An int64 product whose float64 estimate reaches this bound could wrap
 #: (the margin below 2**63 dwarfs the estimate's rounding error).
-_INT64_GUARD = float(2**62)
+INT64_GUARD = float(2**62)
 
 #: Below this many rows the NumPy fixed costs outweigh the per-row win and
 #: the batch is simply evaluated by the scalar engine.
@@ -631,7 +631,7 @@ class VectorEngine:
             active_pes = active_pes * actives[level]
             num_pes = num_pes * spatial[level]
             pe_estimate = pe_estimate * spatial[level]
-        inexact |= pe_estimate >= _INT64_GUARD
+        inexact |= pe_estimate >= INT64_GUARD
         safe = ~inexact
         int_columns = np.stack(
             (

@@ -25,6 +25,7 @@ from repro.cost.backend import BACKENDS, create_backend
 from repro.cost.cache import CacheStats, LRUCache
 from repro.cost.maestro import DEFAULT_LAYER_CACHE_SIZE, PerformanceBatch
 from repro.cost.performance import ModelPerformance
+from repro.cost.vector_engine import INT64_GUARD
 from repro.encoding.genome import Genome, GenomeSpace
 from repro.encoding.genome_matrix import (
     LEVEL_WIDTH,
@@ -71,10 +72,9 @@ _DEFAULT_FREQUENCY_MHZ = HardwareConfig.__dataclass_fields__[
 ].default
 
 #: Array scoring hands a row to :meth:`DesignEvaluator._score_performance`
-#: when a float estimate of one of its integer products reaches this bound
-#: (int64 arithmetic could wrap), or ...
-_INT64_GUARD = float(2**62)
-#: ... when a buffer requirement it divides is not exact in float64.
+#: when a float estimate of one of its integer products reaches
+#: :data:`~repro.cost.vector_engine.INT64_GUARD` (int64 arithmetic could
+#: wrap), or when a buffer requirement it divides is not exact in float64.
 _FLOAT_EXACT = 2**53
 
 #: Evaluator installed in each worker process (see ``_init_worker``).
@@ -674,7 +674,7 @@ class DesignEvaluator:
         if fixed is None:
             # PE counts, and PE counts times L1 sizes, that could leave
             # int64 go to the oracle (float estimates, far inside the guard).
-            risky |= np.prod(spatial.astype(np.float64), axis=1) >= _INT64_GUARD
+            risky |= np.prod(spatial.astype(np.float64), axis=1) >= INT64_GUARD
             num_pes = spatial[:, 0]
             for level in range(1, spatial.shape[1]):
                 num_pes = num_pes * spatial[:, level]
@@ -682,15 +682,15 @@ class DesignEvaluator:
             l2_size = np.maximum(l2, 1)
             risky |= (
                 num_pes.astype(np.float64) * l1_size.astype(np.float64)
-                >= _INT64_GUARD
+                >= INT64_GUARD
             )
             pe_area = num_pes * area_model.pe_area_um2
             l1_area = num_pes * l1_size * area_model.l1_area_per_byte_um2
             if self.buffer_allocation == "fill":
                 leftover = budget - (pe_area + l1_area)
                 grown = leftover // area_model.l2_area_per_byte_um2
-                risky |= grown >= _INT64_GUARD
-                grown = np.clip(grown, -_INT64_GUARD, _INT64_GUARD).astype(np.int64)
+                risky |= grown >= INT64_GUARD
+                grown = np.clip(grown, -INT64_GUARD, INT64_GUARD).astype(np.int64)
                 l2_size = np.where(
                     leftover > 0, _first_max(l2_size, grown), l2_size
                 )

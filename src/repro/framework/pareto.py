@@ -168,10 +168,6 @@ class ParetoArchive:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._entries: Dict[Tuple[float, ...], EvaluationResult] = {}
-        #: The archived vectors as float rows in insertion order, kept by
-        #: :meth:`offer` so a one-row offer does not re-convert the
-        #: archive; None until derived from ``_entries`` again.
-        self._values: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -209,13 +205,9 @@ class ParetoArchive:
         if not vectors:
             return []
         offered_keys = [tuple(vector) for vector in vectors]
-        offered = np.asarray(offered_keys, dtype=float)
-        values = self._values
-        if values is None:
-            values = np.asarray(list(self._entries), dtype=float)
-            values = values.reshape(-1, offered.shape[1])
-        archived = len(values)
-        matrix = np.concatenate((values, offered))
+        archived = len(self._entries)
+        matrix = np.array(list(self._entries) + offered_keys, dtype=float)
+        offered = matrix[archived:]
         # covered[j, i]: entry i equals or dominates offer j.
         # beats[j, i]: offer j is no worse than entry i (it dominates i
         # unless i also covers it).
@@ -244,7 +236,6 @@ class ParetoArchive:
             else (offered_keys[index - archived], build(index - archived))
             for index in survivors.tolist()
         )
-        self._values = matrix[survivors]
         return accepted
 
     def front(self) -> List[EvaluationResult]:
@@ -268,7 +259,6 @@ class ParetoArchive:
         re-filtering could reorder ties.
         """
         self._entries = {}
-        self._values = None
         for result in results:
             if result.objective_vector is None:
                 raise ValueError("archive results need an objective_vector")
